@@ -21,14 +21,21 @@ struct Item {
 /// A sharded, thread-safe, handle-backed key-value store.
 pub struct ShardedStore {
     rt: Arc<Runtime>,
-    shards: Vec<Mutex<HashMap<u64, Item>>>,
+    shards: Vec<Shard>,
 }
+
+/// One lock shard, padded to its own cache lines: packed, neighbouring shards'
+/// lock words share a line and every lock/unlock on one core evicts it from
+/// the other, which costs two threads more than the shard locks save them.
+#[repr(align(128))]
+#[derive(Default)]
+struct Shard(Mutex<HashMap<u64, Item>>);
 
 impl ShardedStore {
     /// Create a store with `shards` lock shards over the given runtime.
     pub fn new(rt: Arc<Runtime>, shards: usize) -> Self {
         let shards = shards.max(1);
-        ShardedStore { rt, shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect() }
+        ShardedStore { rt, shards: (0..shards).map(|_| Shard::default()).collect() }
     }
 
     /// The underlying runtime (shared with the pause controller).
@@ -38,7 +45,7 @@ impl ShardedStore {
 
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Item>> {
         let idx = (key as usize).wrapping_mul(0x9E37_79B9) % self.shards.len();
-        &self.shards[idx]
+        &self.shards[idx].0
     }
 
     /// Store `value` under `key`.
@@ -76,13 +83,17 @@ impl ShardedStore {
 
     /// Fetch the value under `key`.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        let item = {
+        let out = {
             let shard = self.shard(key).lock();
-            shard.get(&key).copied()
+            let item = shard.get(&key)?;
+            // Read under the shard lock (as the in-place `set` writes under
+            // it): a racing resizing `set` of this key frees the token only
+            // after it has replaced the item, which it cannot do before we
+            // let go.
+            let mut out = vec![0u8; item.len];
+            self.rt.read_bytes(item.token, 0, &mut out);
+            out
         };
-        let item = item?;
-        let mut out = vec![0u8; item.len];
-        self.rt.read_bytes(item.token, 0, &mut out);
         self.rt.safepoint();
         Some(out)
     }
@@ -104,7 +115,7 @@ impl ShardedStore {
 
     /// Number of live keys across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.0.lock().len()).sum()
     }
 
     /// Whether the store holds no keys.
@@ -192,5 +203,37 @@ mod tests {
         assert!(total > 0);
         assert!(s.runtime().stats().barriers >= 10);
         assert_eq!(s.len() as u64, total, "every inserted key is distinct and live");
+    }
+
+    /// `get` used to copy the item out, drop the shard lock and then read the
+    /// token, so a resizing `set` of the same key could free the backing
+    /// memory in between and the read panicked with `UseAfterFree`.
+    #[test]
+    fn get_racing_a_resizing_set_of_the_same_key_sees_whole_values() {
+        const ROUNDS: usize = 100_000;
+        let s = store(4);
+        let (short, long) = (vec![0xAAu8; 48], vec![0xBBu8; 200]);
+        s.set(7, &short);
+        let start = std::sync::Barrier::new(2);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _guard = s.runtime().register_current_thread();
+                start.wait();
+                for i in 0..ROUNDS {
+                    s.set(7, if i % 2 == 0 { &long } else { &short });
+                }
+                done.store(true, Ordering::Release);
+            });
+            let _guard = s.runtime().register_current_thread();
+            start.wait();
+            let mut gets = 0;
+            while gets < ROUNDS || !done.load(Ordering::Acquire) {
+                let value = s.get(7).expect("the key is never deleted");
+                assert!(value == short || value == long, "torn value of {} bytes", value.len());
+                gets += 1;
+            }
+        });
+        assert_eq!(s.runtime().live_handles(), 1);
     }
 }

@@ -3,146 +3,173 @@
 //! A translated handle must stay **pinned** while raw pointers to its backing
 //! memory are live (in registers, spilled, or — here — held by Rust code).
 //! Alaska avoids atomic per-object pin counts by tracking pins *privately per
-//! thread*:
+//! thread*, here in one **slot stack** per thread ([`PinSlots`]):
 //!
-//! * compiled (IR) functions get a statically sized **pin-set frame** on entry;
-//!   each static translation is assigned a slot in that frame by the compiler's
-//!   interference-graph allocator, and the interpreter stores the translated
-//!   handle's bits into its slot (and clears it at release),
-//! * native (Rust-embedded) callers use a simple pin stack via
-//!   [`crate::runtime::Runtime::pin`].
+//! * a compiled (IR) function gets a statically sized **pin-set frame** on
+//!   entry: a window of the stack above a header slot that remembers the
+//!   caller's window.  The compiler's interference-graph allocator assigns
+//!   each static translation a slot of the frame; the interpreter stores the
+//!   translated handle's bits there and clears them at release;
+//! * a native (Rust-embedded) [`crate::runtime::Runtime::pin`] pushes one
+//!   slot and clears it on unpin, in any order.
 //!
-//! When a barrier fires, the runtime walks every thread's frames and pin stack
-//! and unions them into a single pinned set — the analogue of parsing LLVM
-//! StackMaps with libunwind.
+//! **Ownership rule.**  Only the owning thread writes a `PinSlots` (every
+//! method but [`PinSlots::collect_pinned`] is owner-only), so it needs no lock
+//! and no read-modify-write: plain loads of its own words, `Release` stores.
+//! A barrier initiator reads the slots only after it has seen the owner's
+//! `parked` or `in_external` flag with `Acquire` — flags the owner sets with
+//! `Release` *after* its last slot write — so it reads the owner's final word.
+//! (On a degraded final attempt a straggler's slots are read while it may
+//! still run: the loads are atomic and the result as approximate as a
+//! snapshot of a running thread always was.)  The walk is the analogue of
+//! parsing LLVM StackMaps with libunwind.
+//!
+//! A stack that outgrows [`INLINE_PIN_SLOTS`] continues in a mutex-protected
+//! vector: slower, still correct.
 
 use crate::handle::{is_handle, Handle, HandleId};
+use parking_lot::Mutex;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// A single function invocation's pin-set frame.
+/// Slots of a thread's pin stack that need no lock.
+pub const INLINE_PIN_SLOTS: usize = 256;
+
+/// Index of the slot a native pin lives in.
+pub type PinSlot = u32;
+
+/// All pins owned by one thread.  See the [module documentation](self) for
+/// the ownership rule.
 ///
 /// Slot contents are raw 64-bit values: `0` means empty, a handle's bits mean
-/// that handle is pinned by this frame.  Raw pointers never need pinning and
-/// are not stored.
-#[derive(Debug, Clone)]
-pub struct PinFrame {
-    slots: Vec<u64>,
-    /// Identifier of the function that owns the frame (for diagnostics).
-    pub function: String,
+/// that handle is pinned.  Frame headers have the top bit clear, so they read
+/// as "not a handle".  Every slot at or above `top` is zero.
+#[derive(Debug)]
+pub struct PinSlots {
+    inline: [AtomicU64; INLINE_PIN_SLOTS],
+    /// Slots `INLINE_PIN_SLOTS..` of a stack that outgrew the inline ones.
+    spill: Mutex<Vec<u64>>,
+    top: AtomicUsize,
+    /// The innermost frame as `first_slot << 32 | len` (its header is the
+    /// slot below `first_slot` and holds the caller's frame word), or 0.
+    frame: AtomicU64,
 }
 
-impl PinFrame {
-    /// Create a frame with `size` statically allocated slots.
-    pub fn new(function: impl Into<String>, size: usize) -> Self {
-        PinFrame { slots: vec![0; size], function: function.into() }
+impl Default for PinSlots {
+    fn default() -> Self {
+        PinSlots {
+            inline: [const { AtomicU64::new(0) }; INLINE_PIN_SLOTS],
+            spill: Mutex::default(),
+            top: AtomicUsize::new(0),
+            frame: AtomicU64::new(0),
+        }
+    }
+}
+
+impl PinSlots {
+    #[inline]
+    fn load(&self, i: usize) -> u64 {
+        match self.inline.get(i) {
+            Some(slot) => slot.load(Ordering::Relaxed),
+            None => self.spill.lock().get(i - INLINE_PIN_SLOTS).copied().unwrap_or(0),
+        }
     }
 
-    /// Number of slots in the frame.
-    pub fn len(&self) -> usize {
-        self.slots.len()
+    #[inline]
+    fn store(&self, i: usize, value: u64) {
+        match self.inline.get(i) {
+            Some(slot) => slot.store(value, Ordering::Release),
+            None => {
+                let (mut spill, i) = (self.spill.lock(), i - INLINE_PIN_SLOTS);
+                if spill.len() <= i {
+                    spill.resize(i + 1, 0);
+                }
+                spill[i] = value;
+            }
+        }
     }
 
-    /// Whether the frame has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    /// The innermost frame as `(first_slot, len)`.
+    fn window(&self) -> Option<(usize, usize)> {
+        let frame = self.frame.load(Ordering::Relaxed);
+        (frame != 0).then_some(((frame >> 32) as usize, frame as u32 as usize))
     }
 
-    /// Record that `value` has been translated into slot `slot`.  Raw pointers
-    /// (top bit clear) are recorded as empty — they do not constrain movement.
+    /// Drop `top` past trailing empty slots, down to the innermost frame.
+    fn shrink(&self) {
+        let floor = self.window().map_or(0, |(first, len)| first + len);
+        let mut top = self.top.load(Ordering::Relaxed);
+        while top > floor && self.load(top - 1) == 0 {
+            top -= 1;
+        }
+        self.top.store(top, Ordering::Release);
+    }
+
+    /// Pin `bits` natively (embedding API); returns the slot to hand back to
+    /// [`PinSlots::unpin`].
+    #[inline]
+    pub fn pin(&self, bits: u64) -> PinSlot {
+        let top = self.top.load(Ordering::Relaxed);
+        self.store(top, bits);
+        self.top.store(top + 1, Ordering::Release);
+        top as PinSlot
+    }
+
+    /// Release a native pin.  Pins are usually released LIFO, but any order
+    /// is fine: a hole is reclaimed once everything above it is gone.
+    #[inline]
+    pub fn unpin(&self, slot: PinSlot) {
+        self.store(slot as usize, 0);
+        if slot as usize + 1 == self.top.load(Ordering::Relaxed) {
+            self.shrink();
+        }
+    }
+
+    /// Push a frame of `len` slots for a function invocation.
+    pub fn push_frame(&self, len: usize) {
+        let top = self.top.load(Ordering::Relaxed);
+        self.store(top, self.frame.load(Ordering::Relaxed));
+        self.frame.store(((top + 1) as u64) << 32 | len as u64, Ordering::Relaxed);
+        self.top.store(top + 1 + len, Ordering::Release);
+    }
+
+    /// Pop the innermost frame (function return), releasing all of its pins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no frame (unbalanced push/pop — a compiler bug).
+    pub fn pop_frame(&self) {
+        let (first, len) = self.window().expect("pop_frame with no active frame");
+        self.frame.store(self.load(first - 1), Ordering::Relaxed);
+        (first - 1..first + len).for_each(|i| self.store(i, 0));
+        self.shrink();
+    }
+
+    /// Store `value` into slot `slot` of the innermost frame; `false` if
+    /// there is no frame.  Raw pointers (top bit clear) are recorded as
+    /// empty — they do not constrain movement — so `set(slot, 0)` clears the
+    /// slot when the translation's lifetime ends.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range (a compiler bug: the pin-set sizing
     /// pass must reserve enough slots).
-    pub fn set(&mut self, slot: usize, value: u64) {
-        assert!(
-            slot < self.slots.len(),
-            "pin slot {slot} out of range ({} slots)",
-            self.slots.len()
-        );
-        self.slots[slot] = if is_handle(value) { value } else { 0 };
+    #[inline]
+    pub fn set(&self, slot: usize, value: u64) -> bool {
+        let Some((first, len)) = self.window() else { return false };
+        assert!(slot < len, "pin slot {slot} out of range ({len} slots)");
+        self.store(first + slot, if is_handle(value) { value } else { 0 });
+        true
     }
 
-    /// Clear slot `slot` (the translation's lifetime ended).
-    pub fn clear(&mut self, slot: usize) {
-        assert!(slot < self.slots.len(), "pin slot {slot} out of range");
-        self.slots[slot] = 0;
-    }
-
-    /// Raw slot contents.
-    pub fn slots(&self) -> &[u64] {
-        &self.slots
-    }
-
-    /// Iterate the handle IDs currently pinned by this frame.
-    pub fn pinned_ids(&self) -> impl Iterator<Item = HandleId> + '_ {
-        self.slots.iter().filter_map(|&bits| Handle::from_bits(bits).map(|h| h.id()))
-    }
-}
-
-/// All pins owned by one thread: a stack of compiled-function frames plus the
-/// native pin stack used by the embedding API.
-#[derive(Debug, Default)]
-pub struct PinSets {
-    frames: Vec<PinFrame>,
-    native: Vec<u64>,
-}
-
-impl PinSets {
-    /// Create an empty pin-set collection.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Push a frame for a function invocation with `size` slots.
-    pub fn push_frame(&mut self, function: impl Into<String>, size: usize) {
-        self.frames.push(PinFrame::new(function, size));
-    }
-
-    /// Pop the top frame (function return), releasing all of its pins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is no frame (unbalanced push/pop — a compiler bug).
-    pub fn pop_frame(&mut self) -> PinFrame {
-        self.frames.pop().expect("pop_frame with no active frame")
-    }
-
-    /// The current (innermost) frame.
-    pub fn top_frame_mut(&mut self) -> Option<&mut PinFrame> {
-        self.frames.last_mut()
-    }
-
-    /// Number of active frames.
-    pub fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Push a native pin (embedding API).  Raw pointers are accepted but add no
-    /// constraint.
-    pub fn push_native(&mut self, value: u64) {
-        self.native.push(value);
-    }
-
-    /// Remove a native pin.  Pins are usually released LIFO, but out-of-order
-    /// release is tolerated (the most recent matching entry is removed).
-    pub fn pop_native(&mut self, value: u64) {
-        if let Some(pos) = self.native.iter().rposition(|&v| v == value) {
-            self.native.remove(pos);
-        }
-    }
-
-    /// Number of native pins currently held.
-    pub fn native_count(&self) -> usize {
-        self.native.len()
-    }
-
-    /// Union of all handle IDs pinned by this thread.
+    /// Add every handle ID this thread pins to `out`.  The one method a
+    /// thread other than the owner may call.
     pub fn collect_pinned(&self, out: &mut HashSet<HandleId>) {
-        for frame in &self.frames {
-            out.extend(frame.pinned_ids());
-        }
-        out.extend(self.native.iter().filter_map(|&bits| Handle::from_bits(bits).map(|h| h.id())));
+        let top = self.top.load(Ordering::Acquire).min(INLINE_PIN_SLOTS);
+        let inline = self.inline[..top].iter().map(|slot| slot.load(Ordering::Acquire));
+        let spill = self.spill.lock();
+        let handles = inline.chain(spill.iter().copied()).filter_map(Handle::from_bits);
+        out.extend(handles.map(|h| h.id()));
     }
 
     /// Convenience: the pinned set of just this thread.
@@ -156,7 +183,6 @@ impl PinSets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::{Handle, HandleId};
 
     fn h(id: u32) -> u64 {
         Handle::new(HandleId(id)).bits()
@@ -164,78 +190,129 @@ mod tests {
 
     #[test]
     fn frame_set_and_clear() {
-        let mut f = PinFrame::new("test", 3);
-        f.set(0, h(5));
-        f.set(2, h(9));
-        assert_eq!(f.pinned_ids().count(), 2);
-        f.clear(0);
-        let ids: Vec<_> = f.pinned_ids().collect();
-        assert_eq!(ids, vec![HandleId(9)]);
+        let p = PinSlots::default();
+        p.push_frame(3);
+        assert!(p.set(0, h(5)));
+        assert!(p.set(2, h(9)));
+        assert_eq!(p.pinned().len(), 2);
+        p.set(0, 0);
+        assert_eq!(p.pinned(), HashSet::from([HandleId(9)]));
     }
 
     #[test]
     fn raw_pointers_are_not_pinned() {
-        let mut f = PinFrame::new("test", 1);
-        f.set(0, 0x1234);
-        assert_eq!(f.pinned_ids().count(), 0);
+        let p = PinSlots::default();
+        p.push_frame(1);
+        p.set(0, 0x1234);
+        assert!(p.pinned().is_empty());
+        assert!(!PinSlots::default().set(0, h(1)), "no frame, nothing recorded");
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_slot_panics() {
-        let mut f = PinFrame::new("test", 1);
-        f.set(1, h(0));
+        let p = PinSlots::default();
+        p.push_frame(1);
+        p.set(1, h(0));
     }
 
     #[test]
     fn frames_stack_and_union() {
-        let mut p = PinSets::new();
-        p.push_frame("outer", 2);
-        p.top_frame_mut().unwrap().set(0, h(1));
-        p.push_frame("inner", 1);
-        p.top_frame_mut().unwrap().set(0, h(2));
-        p.push_native(h(3));
-        let pinned = p.pinned();
-        assert_eq!(pinned.len(), 3);
-        assert!(pinned.contains(&HandleId(1)));
-        assert!(pinned.contains(&HandleId(2)));
-        assert!(pinned.contains(&HandleId(3)));
+        let p = PinSlots::default();
+        p.push_frame(2);
+        p.set(0, h(1));
+        p.push_frame(1);
+        p.set(0, h(2));
+        let native = p.pin(h(3));
+        assert_eq!(p.pinned(), HashSet::from([HandleId(1), HandleId(2), HandleId(3)]));
 
+        p.unpin(native);
         p.pop_frame();
-        assert!(!p.pinned().contains(&HandleId(2)), "returning releases the frame's pins");
-        assert_eq!(p.depth(), 1);
+        assert_eq!(p.pinned(), HashSet::from([HandleId(1)]), "returning releases the frame's pins");
+        p.set(1, h(4));
+        assert!(p.pinned().contains(&HandleId(4)), "the caller's frame is current again");
+        p.pop_frame();
+        assert_eq!(p.top.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn native_pins_release_out_of_order() {
-        let mut p = PinSets::new();
-        p.push_native(h(1));
-        p.push_native(h(2));
-        p.push_native(h(1));
-        p.pop_native(h(1));
-        assert_eq!(p.native_count(), 2);
-        let pinned = p.pinned();
-        assert!(pinned.contains(&HandleId(1)), "one pin of handle 1 remains");
-        p.pop_native(h(1));
-        p.pop_native(h(2));
+        let p = PinSlots::default();
+        let a = p.pin(h(1));
+        let b = p.pin(h(2));
+        let c = p.pin(h(1));
+        p.unpin(a);
+        assert!(p.pinned().contains(&HandleId(1)), "one pin of handle 1 remains");
+        assert_eq!(p.pinned().len(), 2);
+        p.unpin(c);
+        assert_eq!(p.pinned(), HashSet::from([HandleId(2)]));
+        p.unpin(b);
         assert!(p.pinned().is_empty());
+        assert_eq!(p.top.load(Ordering::Relaxed), 0, "holes are reclaimed once the top pops");
     }
 
     #[test]
     #[should_panic(expected = "no active frame")]
     fn unbalanced_pop_panics() {
-        let mut p = PinSets::new();
-        p.pop_frame();
+        PinSlots::default().pop_frame();
     }
 
     #[test]
     fn same_handle_in_multiple_frames_stays_pinned() {
-        let mut p = PinSets::new();
-        p.push_frame("a", 1);
-        p.top_frame_mut().unwrap().set(0, h(7));
-        p.push_frame("b", 1);
-        p.top_frame_mut().unwrap().set(0, h(7));
+        let p = PinSlots::default();
+        p.push_frame(1);
+        p.set(0, h(7));
+        p.push_frame(1);
+        p.set(0, h(7));
         p.pop_frame();
         assert!(p.pinned().contains(&HandleId(7)));
+    }
+
+    #[test]
+    fn native_pin_outlives_the_frame_it_was_taken_in() {
+        let p = PinSlots::default();
+        p.push_frame(2);
+        let native = p.pin(h(8));
+        p.pop_frame();
+        assert_eq!(p.pinned(), HashSet::from([HandleId(8)]));
+        p.unpin(native);
+        assert_eq!(p.top.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn overflow_spills_and_unwinds() {
+        let p = PinSlots::default();
+        let pins: Vec<_> = (0..INLINE_PIN_SLOTS as u32 + 10).map(|i| p.pin(h(i))).collect();
+        // Frames pushed on a full stack live past the inline slots too.
+        p.push_frame(2);
+        p.set(1, h(9_000));
+        p.push_frame(1);
+        p.set(0, h(9_001));
+        assert_eq!(p.pinned().len(), INLINE_PIN_SLOTS + 12);
+        p.pop_frame();
+        assert!(!p.pinned().contains(&HandleId(9_001)));
+        assert!(p.pinned().contains(&HandleId(9_000)));
+        p.pop_frame();
+        // Out of order across the inline/spill boundary.
+        for slot in pins.iter().step_by(2).chain(pins.iter().skip(1).step_by(2)) {
+            p.unpin(*slot);
+        }
+        assert!(p.pinned().is_empty());
+        assert_eq!(p.top.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_frame_may_straddle_the_inline_boundary() {
+        let p = PinSlots::default();
+        let pins: Vec<_> = (0..INLINE_PIN_SLOTS as u32 - 2).map(|i| p.pin(h(i))).collect();
+        p.push_frame(4);
+        (0..4).for_each(|slot| assert!(p.set(slot, h(1_000 + slot as u32))));
+        assert_eq!(p.pinned().len(), INLINE_PIN_SLOTS + 2);
+        p.set(3, 0);
+        assert!(!p.pinned().contains(&HandleId(1_003)));
+        p.pop_frame();
+        assert_eq!(p.pinned().len(), INLINE_PIN_SLOTS - 2);
+        pins.into_iter().rev().for_each(|slot| p.unpin(slot));
+        assert_eq!(p.top.load(Ordering::Relaxed), 0);
     }
 }

@@ -24,13 +24,14 @@
 //!
 //! * `translate` is a lock-free load from the sharded
 //!   [`HandleTable`](crate::handle_table) — no mutex anywhere on the path;
-//! * `halloc`/`hfree` draw handle IDs from a **per-thread magazine**
-//!   ([`ThreadState::magazine`]) that refills/flushes through one table shard
-//!   in batches of `MAGAZINE_REFILL`;
-//! * event counters accumulate in per-thread [`ThreadHotStats`] and are only
-//!   folded together when [`Runtime::stats`] is called;
-//! * the current thread's registration is cached in a thread-local slot, so
-//!   `safepoint`/`translate` do not pay a hash-map lookup per call.
+//! * every public operation resolves the calling thread's registration
+//!   **once** ([`thread::with_current`]) and borrows it throughout — no
+//!   reference count moves, `read_bytes` is one thread-local access;
+//! * everything thread-private is owner-written memory behind no lock and no
+//!   read-modify-write: pins in the thread's slot stack ([`crate::pinset`]),
+//!   event counters in its [`ThreadHotStats`] (folded only when
+//!   [`Runtime::stats`] is called), handle IDs from its **magazine**
+//!   ([`ThreadCtx::magazine`]), refilled/flushed through one shard in batches.
 //!
 //! Only the backing-memory [`Service`] remains a single mutex — its
 //! allocations are orders of magnitude rarer than translations.
@@ -40,17 +41,18 @@ use crate::error::{AlaskaError, Result};
 use crate::handle::{is_handle, Handle, HandleId};
 use crate::handle_table::{FreeFault, HandleTable, HteState};
 use crate::malloc_service::MallocService;
+use crate::pinset::PinSlot;
 use crate::service::{DefragOutcome, Service, ServiceContext, StoppedWorld};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::telemetry::RuntimeTelemetry;
-use crate::thread::{ThreadHotStats, ThreadRegistry, ThreadState};
+use crate::thread::{self, ThreadCtx, ThreadHotStats, ThreadRegistry, ThreadState};
 use alaska_faultline as faultline;
 use alaska_heap::vmem::{VirtAddr, VirtualMemory};
 use alaska_heap::AllocStats;
 use alaska_telemetry::Telemetry;
 use parking_lot::Mutex;
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -79,18 +81,6 @@ fn magazine_sizing_from_env() -> (usize, usize) {
         .unwrap_or(if cap == MAGAZINE_CAP_DEFAULT { MAGAZINE_REFILL_DEFAULT } else { cap / 2 })
         .clamp(1, cap);
     (cap, refill)
-}
-
-/// This thread's registrations, with a one-slot cache for the runtime it used
-/// last (the overwhelmingly common case is a thread talking to one runtime).
-#[derive(Default)]
-struct ThreadTls {
-    current: Option<(usize, Arc<ThreadState>)>,
-    all: HashMap<usize, Arc<ThreadState>>,
-}
-
-thread_local! {
-    static THREAD_STATES: RefCell<ThreadTls> = RefCell::new(ThreadTls::default());
 }
 
 /// The Alaska runtime.  See the [module documentation](self).
@@ -128,12 +118,17 @@ impl std::fmt::Debug for Runtime {
 
 /// RAII pin: while this guard lives, the pinned object cannot be moved.
 ///
-/// Created by [`Runtime::pin`].  Dropping the guard unpins the handle.
+/// Created by [`Runtime::pin`].  Dropping the guard unpins the handle.  The
+/// pin lives in the pin stack of the thread that took it, so the guard is
+/// not `Send`.
 #[derive(Debug)]
 pub struct Pinned<'rt> {
     rt: &'rt Runtime,
     bits: u64,
     addr: VirtAddr,
+    /// Where the pin lives; `None` for a raw pointer, which needs no pin.
+    slot: Option<PinSlot>,
+    _owner_thread: PhantomData<*const ()>,
 }
 
 impl Pinned<'_> {
@@ -151,7 +146,20 @@ impl Pinned<'_> {
 
 impl Drop for Pinned<'_> {
     fn drop(&mut self) {
-        self.rt.unpin_value(self.bits);
+        if let Some(slot) = self.slot {
+            self.rt.with_thread(|t| drop(ScopedPin(t, slot)));
+        }
+    }
+}
+
+/// A pin on an already resolved thread; released on drop, so an access that
+/// panics cannot leave its slot behind.
+struct ScopedPin<'t>(&'t ThreadState, PinSlot);
+
+impl Drop for ScopedPin<'_> {
+    fn drop(&mut self) {
+        self.0.pins.unpin(self.1);
+        ThreadHotStats::bump(&self.0.hot.unpins);
     }
 }
 
@@ -164,23 +172,15 @@ pub struct ThreadGuard<'rt> {
 
 impl Drop for ThreadGuard<'_> {
     fn drop(&mut self) {
-        let state = THREAD_STATES.with(|tls| {
-            let mut t = tls.borrow_mut();
-            if t.current.as_ref().is_some_and(|(rt, _)| *rt == self.rt.id) {
-                t.current = None;
-            }
-            t.all.remove(&self.rt.id)
-        });
-        if let Some(state) = state {
-            // Hand unused magazine IDs back to their shards and roll this
-            // thread's counters into the global totals before it vanishes.
-            let ids = std::mem::take(&mut *state.magazine.lock());
+        // Hand unused magazine IDs back to their shards and roll this
+        // thread's counters into the global totals before it vanishes.
+        if let Some(ctx) = thread::take_current(self.rt.id) {
+            let ids = ctx.magazine.take();
             if !ids.is_empty() {
                 self.rt.table.restock_ids(&ids);
             }
-            state.hot.flush_into(&self.rt.stats);
         }
-        self.rt.threads.unregister(self.id);
+        self.rt.threads.unregister(self.id, |t| t.hot.flush_into(&self.rt.stats));
     }
 }
 
@@ -201,7 +201,7 @@ impl Runtime {
             vm,
             table: HandleTable::new(),
             service: Mutex::new(service),
-            threads: ThreadRegistry::new(),
+            threads: ThreadRegistry::default(),
             barrier: BarrierController::new(),
             pause_lock: Mutex::new(()),
             stats: RuntimeStats::new(),
@@ -292,23 +292,11 @@ impl Runtime {
     // Thread registration and safepoints
     // ------------------------------------------------------------------
 
-    /// The calling thread's registration with this runtime, registering it on
-    /// first use.  A one-slot thread-local cache makes the repeat case (the
-    /// same thread talking to the same runtime) a borrow, a compare and an
-    /// `Arc` clone — no hash-map lookup.
+    /// Run `f` with the calling thread's registration (made on first use).
+    /// Nothing stays borrowed meanwhile: `f` may enter this or another runtime.
     #[inline]
-    fn current_thread(&self) -> Arc<ThreadState> {
-        THREAD_STATES.with(|tls| {
-            if let Some((rt, st)) = &tls.borrow().current {
-                if *rt == self.id {
-                    return Arc::clone(st);
-                }
-            }
-            let mut t = tls.borrow_mut();
-            let st = Arc::clone(t.all.entry(self.id).or_insert_with(|| self.threads.register()));
-            t.current = Some((self.id, Arc::clone(&st)));
-            st
-        })
+    fn with_thread<R>(&self, f: impl FnOnce(&ThreadCtx) -> R) -> R {
+        thread::with_current(self.id, &self.threads, f)
     }
 
     /// Explicitly register the current thread, returning a guard that
@@ -316,13 +304,12 @@ impl Runtime {
     /// use; worker threads that terminate while the runtime is still live
     /// should prefer the explicit form so barriers do not wait for them.
     pub fn register_current_thread(&self) -> ThreadGuard<'_> {
-        let state = self.current_thread();
-        ThreadGuard { rt: self, id: state.id }
+        ThreadGuard { rt: self, id: self.with_thread(|t| t.id) }
     }
 
     /// Number of threads currently registered.
     pub fn registered_threads(&self) -> usize {
-        self.threads.len()
+        self.threads.with_all(|threads| threads.len())
     }
 
     /// A safepoint poll: the fast path is an atomic load of the barrier flag;
@@ -331,25 +318,33 @@ impl Runtime {
     /// external-call boundaries (§4.1.3).
     #[inline]
     pub fn safepoint(&self) {
-        let state = self.current_thread();
-        RuntimeStats::bump(&state.hot.safepoint_polls);
+        self.with_thread(|t| self.poll(t));
+    }
+
+    #[inline]
+    fn poll(&self, t: &ThreadState) {
+        ThreadHotStats::bump(&t.hot.safepoint_polls);
         if self.barrier.is_requested() {
-            self.barrier.park_at_safepoint(&state);
+            self.barrier.park_at_safepoint(t);
         }
     }
 
     /// Mark the current thread as entering external (non-handle-aware) code.
     /// Barriers will not wait for it (§4.1.3's straggler handling).
     pub fn external_begin(&self) {
-        self.safepoint();
-        self.current_thread().in_external.store(true, Ordering::Release);
+        self.with_thread(|t| {
+            self.poll(t);
+            t.in_external.store(true, Ordering::Release);
+        });
     }
 
     /// Mark the current thread as returning from external code.  Acts as a
     /// safepoint so the thread cannot race past an in-progress barrier.
     pub fn external_end(&self) {
-        self.current_thread().in_external.store(false, Ordering::Release);
-        self.safepoint();
+        self.with_thread(|t| {
+            t.in_external.store(false, Ordering::Release);
+            self.poll(t);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -358,20 +353,34 @@ impl Runtime {
 
     /// Pop a reserved handle ID from this thread's magazine, refilling it from
     /// the thread's home shard when empty.
-    fn acquire_id(&self, state: &ThreadState) -> Option<HandleId> {
-        let mut mag = state.magazine.lock();
+    fn acquire_id(&self, t: &ThreadCtx) -> Option<HandleId> {
+        let mut mag = t.magazine.borrow_mut();
         if let Some(id) = mag.pop() {
             return Some(HandleId(id));
         }
-        let hint = state.id as usize % self.table.shard_count();
+        let hint = t.id as usize % self.table.shard_count();
         let refill = self.magazine_refill.load(Ordering::Relaxed);
         if faultline::fire!("magazine.refill")
             || self.table.reserve_ids(hint, refill, &mut mag) == 0
         {
             return None;
         }
-        RuntimeStats::bump(&state.hot.magazine_refills);
+        ThreadHotStats::bump(&t.hot.magazine_refills);
         mag.pop().map(HandleId)
+    }
+
+    /// Park a freed (or never published) ID in this thread's magazine,
+    /// flushing the cold half back to the owning shards at capacity.
+    fn release_id(&self, t: &ThreadCtx, id: HandleId) {
+        let mut mag = t.magazine.borrow_mut();
+        mag.push(id.0);
+        let cap = self.magazine_cap.load(Ordering::Relaxed);
+        if mag.len() >= cap {
+            // Flush the cold (oldest) half, keep the hot LIFO end.
+            let surplus: Vec<u32> = mag.drain(..cap / 2).collect();
+            self.table.restock_ids(&surplus);
+            ThreadHotStats::bump(&t.hot.magazine_flushes);
+        }
     }
 
     /// Allocate `size` bytes of handle-backed memory; returns the handle bits
@@ -391,34 +400,35 @@ impl Runtime {
     ///   memory even after the pressure recovery loop (shed + defragment +
     ///   backoff) ran out of attempts.
     pub fn halloc(&self, size: usize) -> Result<u64> {
-        self.safepoint();
-        if size as u64 >= crate::MAX_OBJECT_SIZE {
-            return Err(AlaskaError::ObjectTooLarge { requested: size as u64 });
-        }
-        if faultline::fire!("halloc.reserve.oom") {
-            return Err(AlaskaError::HandleTableFull);
-        }
-        let state = self.current_thread();
-        let id = self.acquire_id(&state).ok_or(AlaskaError::HandleTableFull)?;
-        let addr = match self.backing_alloc(size, id) {
-            Some(a) => a,
-            None => {
-                // Release-on-OOM: the reserved ID goes back to the magazine
-                // instead of leaking.
-                state.magazine.lock().push(id.0);
+        self.with_thread(|t| {
+            self.poll(t);
+            if size as u64 >= crate::MAX_OBJECT_SIZE {
+                return Err(AlaskaError::ObjectTooLarge { requested: size as u64 });
+            }
+            if faultline::fire!("halloc.reserve.oom") {
+                return Err(AlaskaError::HandleTableFull);
+            }
+            let id = self.acquire_id(t).ok_or(AlaskaError::HandleTableFull)?;
+            let addr = match self.backing_alloc(size, id) {
+                Some(a) => a,
+                None => {
+                    // Release-on-OOM: the reserved ID goes back to the magazine
+                    // instead of leaking.
+                    self.release_id(t, id);
+                    return Err(AlaskaError::OutOfMemory { requested: size as u64 });
+                }
+            };
+            if faultline::fire!("halloc.publish") {
+                // Injected failure between backing allocation and publish: unwind
+                // both halves so neither the block nor the ID leaks.
+                self.service.lock().free(id, addr, size);
+                self.release_id(t, id);
                 return Err(AlaskaError::OutOfMemory { requested: size as u64 });
             }
-        };
-        if faultline::fire!("halloc.publish") {
-            // Injected failure between backing allocation and publish: unwind
-            // both halves so neither the block nor the ID leaks.
-            self.service.lock().free(id, addr, size);
-            state.magazine.lock().push(id.0);
-            return Err(AlaskaError::OutOfMemory { requested: size as u64 });
-        }
-        self.table.publish(id, addr, size as u32);
-        RuntimeStats::bump(&state.hot.hallocs);
-        Ok(Handle::new(id).bits())
+            self.table.publish(id, addr, size as u32);
+            ThreadHotStats::bump(&t.hot.hallocs);
+            Ok(Handle::new(id).bits())
+        })
     }
 
     /// Ask the service for backing memory, falling into the pressure recovery
@@ -470,35 +480,26 @@ impl Runtime {
     /// * [`AlaskaError::InvalidHandle`] if `value` never was a live handle
     ///   (wild free).
     pub fn hfree(&self, value: u64) -> Result<()> {
-        self.safepoint();
-        let handle = Handle::from_bits(value).ok_or(AlaskaError::InvalidHandle { value })?;
-        let id = handle.id();
-        let e = match self.table.release_reserved(id) {
-            Ok(e) => e,
-            Err(FreeFault::DoubleFree) => {
-                RuntimeStats::bump(&self.stats.double_frees_detected);
-                if let Some(tel) = self.telemetry.get() {
-                    tel.record_lifecycle_fault(id.0 as u64, 0);
+        self.with_thread(|t| {
+            self.poll(t);
+            let handle = Handle::from_bits(value).ok_or(AlaskaError::InvalidHandle { value })?;
+            let id = handle.id();
+            let e = match self.table.release_reserved(id) {
+                Ok(e) => e,
+                Err(FreeFault::DoubleFree) => {
+                    RuntimeStats::bump(&self.stats.double_frees_detected);
+                    if let Some(tel) = self.telemetry.get() {
+                        tel.record_lifecycle_fault(id.0 as u64, 0);
+                    }
+                    return Err(AlaskaError::DoubleFree { value });
                 }
-                return Err(AlaskaError::DoubleFree { value });
-            }
-            Err(FreeFault::Dangling) => return Err(AlaskaError::InvalidHandle { value }),
-        };
-        self.service.lock().free(id, e.backing, e.size as usize);
-        let state = self.current_thread();
-        {
-            let mut mag = state.magazine.lock();
-            mag.push(id.0);
-            let cap = self.magazine_cap.load(Ordering::Relaxed);
-            if mag.len() >= cap {
-                // Flush the cold (oldest) half, keep the hot LIFO end.
-                let surplus: Vec<u32> = mag.drain(..cap / 2).collect();
-                self.table.restock_ids(&surplus);
-                RuntimeStats::bump(&state.hot.magazine_flushes);
-            }
-        }
-        RuntimeStats::bump(&state.hot.hfrees);
-        Ok(())
+                Err(FreeFault::Dangling) => return Err(AlaskaError::InvalidHandle { value }),
+            };
+            self.service.lock().free(id, e.backing, e.size as usize);
+            self.release_id(t, id);
+            ThreadHotStats::bump(&t.hot.hfrees);
+            Ok(())
+        })
     }
 
     /// Resize the object behind `value` to `new_size`, preserving its handle
@@ -561,22 +562,28 @@ impl Runtime {
     ///
     /// Returns [`AlaskaError::InvalidHandle`] for a dangling handle.
     pub fn translate(&self, value: u64) -> Result<VirtAddr> {
-        let state = self.current_thread();
-        self.translate_with(&state.hot, value)
+        self.with_thread(|t| self.translate_with(&t.hot, value))
     }
 
     #[inline]
     fn translate_with(&self, hot: &ThreadHotStats, value: u64) -> Result<VirtAddr> {
-        RuntimeStats::bump(&hot.handle_checks);
-        let handle = match Handle::from_bits(value) {
-            Some(h) => h,
-            None => {
-                RuntimeStats::bump(&hot.pointer_passthroughs);
-                return Ok(VirtAddr(value));
-            }
+        ThreadHotStats::bump(&hot.handle_checks);
+        let Some(handle) = Handle::from_bits(value) else {
+            ThreadHotStats::bump(&hot.pointer_passthroughs);
+            return Ok(VirtAddr(value));
         };
         let id = handle.id();
         let (addr, state) = self.table.load(id).ok_or(AlaskaError::InvalidHandle { value })?;
+        if state != HteState::Live {
+            self.translate_fault(id, state, value)?;
+        }
+        ThreadHotStats::bump(&hot.translations);
+        Ok(addr.add(handle.offset() as u64))
+    }
+
+    /// Off the translation fast path: the entry is not `Live`.
+    #[cold]
+    fn translate_fault(&self, id: HandleId, state: HteState, value: u64) -> Result<()> {
         if state == HteState::Poisoned {
             // The entry was freed and its ID not reused yet: a detectable
             // use-after-free rather than a silent read through a stale (or
@@ -587,20 +594,17 @@ impl Runtime {
             }
             return Err(AlaskaError::UseAfterFree { value });
         }
-        if state == HteState::Invalid && self.handle_faults.load(Ordering::Relaxed) {
-            // Handle fault (§7): the object was speculatively moved or swapped
-            // out.  Our model services the fault by revalidating the entry;
-            // the CAS makes exactly one of any racing faulting threads count
-            // and trace the fault.
-            if self.table.fault_recover(id) {
-                RuntimeStats::bump(&self.stats.handle_faults);
-                if let Some(tel) = self.telemetry.get() {
-                    tel.record_handle_fault(id.0 as u64);
-                }
+        // Handle fault (§7): the object was speculatively moved or swapped
+        // out.  Our model services the fault by revalidating the entry; the
+        // CAS makes exactly one of any racing faulting threads count and
+        // trace the fault.
+        if self.handle_faults.load(Ordering::Relaxed) && self.table.fault_recover(id) {
+            RuntimeStats::bump(&self.stats.handle_faults);
+            if let Some(tel) = self.telemetry.get() {
+                tel.record_handle_fault(id.0 as u64);
             }
         }
-        RuntimeStats::bump(&hot.translations);
-        Ok(addr.add(handle.offset() as u64))
+        Ok(())
     }
 
     /// Translate and pin: the returned guard keeps the object immobile until
@@ -612,41 +616,39 @@ impl Runtime {
     /// handle and [`AlaskaError::InvalidHandle`] for any other dangling
     /// value, so library users can recover instead of unwinding.
     pub fn pin(&self, value: u64) -> Result<Pinned<'_>> {
-        let state = self.current_thread();
-        let addr = self.translate_with(&state.hot, value)?;
-        if is_handle(value) {
-            state.pins.lock().push_native(value);
-            RuntimeStats::bump(&state.hot.pins);
-        }
-        Ok(Pinned { rt: self, bits: value, addr })
+        let (addr, slot) = self.with_thread(|t| self.pin_on(t, value))?;
+        Ok(Pinned { rt: self, bits: value, addr, slot, _owner_thread: PhantomData })
     }
 
-    fn unpin_value(&self, value: u64) {
-        if is_handle(value) {
-            let state = self.current_thread();
-            state.pins.lock().pop_native(value);
-            RuntimeStats::bump(&state.hot.unpins);
-        }
+    /// Translate `value` and, if it is a handle, push it on `t`'s pin stack.
+    #[inline]
+    fn pin_on(&self, t: &ThreadState, value: u64) -> Result<(VirtAddr, Option<PinSlot>)> {
+        let addr = self.translate_with(&t.hot, value)?;
+        let slot = is_handle(value).then(|| {
+            ThreadHotStats::bump(&t.hot.pins);
+            t.pins.pin(value)
+        });
+        Ok((addr, slot))
     }
 
     /// Number of handles currently pinned by the calling thread.
     pub fn current_thread_pin_count(&self) -> usize {
-        self.current_thread().pins.lock().pinned().len()
+        self.with_thread(|t| t.pins.pinned().len())
     }
 
     // ------------------------------------------------------------------
     // Compiler/interpreter pin-frame interface
     // ------------------------------------------------------------------
 
-    /// Push a pin-set frame of `slots` entries for a compiled-function
-    /// invocation (§4.1.3).
-    pub fn push_pin_frame(&self, function: &str, slots: usize) {
-        self.current_thread().pins.lock().push_frame(function, slots);
+    /// Push a pin-set frame of `slots` entries for an invocation of the
+    /// compiled function `_function` (§4.1.3).
+    pub fn push_pin_frame(&self, _function: &str, slots: usize) {
+        self.with_thread(|t| t.pins.push_frame(slots));
     }
 
     /// Pop the top pin-set frame (function return).
     pub fn pop_pin_frame(&self) {
-        self.current_thread().pins.lock().pop_frame();
+        self.with_thread(|t| t.pins.pop_frame());
     }
 
     /// Record a translated value into slot `slot` of the current frame and
@@ -658,38 +660,45 @@ impl Runtime {
     /// [`AlaskaError::NoActivePinFrame`] when no pin frame has been pushed
     /// (compiler API misuse).
     pub fn translate_into_slot(&self, value: u64, slot: usize) -> Result<VirtAddr> {
-        let state = self.current_thread();
-        let addr = self.translate_with(&state.hot, value)?;
-        if is_handle(value) {
-            let mut pins = state.pins.lock();
-            let frame = pins.top_frame_mut().ok_or(AlaskaError::NoActivePinFrame)?;
-            frame.set(slot, value);
-            RuntimeStats::bump(&state.hot.pins);
-        }
-        Ok(addr)
+        self.with_thread(|t| {
+            let addr = self.translate_with(&t.hot, value)?;
+            if is_handle(value) {
+                if !t.pins.set(slot, value) {
+                    return Err(AlaskaError::NoActivePinFrame);
+                }
+                ThreadHotStats::bump(&t.hot.pins);
+            }
+            Ok(addr)
+        })
     }
 
     /// Release slot `slot` of the current frame (end of the translation's
     /// lifetime, as computed by the compiler's liveness analysis).
     pub fn release_slot(&self, slot: usize) {
-        let state = self.current_thread();
-        let mut pins = state.pins.lock();
-        if let Some(frame) = pins.top_frame_mut() {
-            frame.clear(slot);
-        }
-        RuntimeStats::bump(&state.hot.unpins);
+        self.with_thread(|t| {
+            t.pins.set(slot, 0);
+            ThreadHotStats::bump(&t.hot.unpins);
+        });
     }
 
     // ------------------------------------------------------------------
     // Memory access helpers (translate + pin for the duration of the access)
     // ------------------------------------------------------------------
 
-    /// Pin for a helper that has no error channel: dereferencing an invalid
-    /// value through `read_*`/`write_*` is undefined behaviour in the source
-    /// program, surfaced loudly here.  Callers that want to recover use
-    /// [`Runtime::pin`] directly.
-    fn pin_for_access(&self, value: u64, op: &str) -> Pinned<'_> {
-        self.pin(value).unwrap_or_else(|e| panic!("{op} of invalid value {value:#x}: {e}"))
+    /// Run `access` on the address of `value`, pinned for the duration, all
+    /// on one resolve of the calling thread.  The helpers below have no error
+    /// channel: dereferencing an invalid value through `read_*`/`write_*` is
+    /// undefined behaviour in the source program, surfaced loudly here.
+    /// Callers that want to recover use [`Runtime::pin`] directly.
+    #[inline]
+    fn with_pinned<R>(&self, value: u64, op: &str, access: impl FnOnce(VirtAddr) -> R) -> R {
+        self.with_thread(|t| {
+            let (addr, slot) = self
+                .pin_on(t, value)
+                .unwrap_or_else(|e| panic!("{op} of invalid value {value:#x}: {e}"));
+            let _pin = slot.map(|slot| ScopedPin(t, slot));
+            access(addr)
+        })
     }
 
     /// Read `out.len()` bytes from offset `offset` of the object behind `value`.
@@ -699,8 +708,7 @@ impl Runtime {
     /// Panics if `value` is a dangling handle (use [`Runtime::pin`] to recover
     /// instead).
     pub fn read_bytes(&self, value: u64, offset: u64, out: &mut [u8]) {
-        let p = self.pin_for_access(value, "read_bytes");
-        self.vm.read_bytes(p.addr().add(offset), out);
+        self.with_pinned(value, "read_bytes", |addr| self.vm.read_bytes(addr.add(offset), out));
     }
 
     /// Write `data` at offset `offset` of the object behind `value`.
@@ -710,8 +718,7 @@ impl Runtime {
     /// Panics if `value` is a dangling handle (use [`Runtime::pin`] to recover
     /// instead).
     pub fn write_bytes(&self, value: u64, offset: u64, data: &[u8]) {
-        let p = self.pin_for_access(value, "write_bytes");
-        self.vm.write_bytes(p.addr().add(offset), data);
+        self.with_pinned(value, "write_bytes", |addr| self.vm.write_bytes(addr.add(offset), data));
     }
 
     /// Read a `u64` at offset `offset` of the object behind `value`.
@@ -721,8 +728,7 @@ impl Runtime {
     /// Panics if `value` is a dangling handle (use [`Runtime::pin`] to recover
     /// instead).
     pub fn read_u64(&self, value: u64, offset: u64) -> u64 {
-        let p = self.pin_for_access(value, "read_u64");
-        self.vm.read_u64(p.addr().add(offset))
+        self.with_pinned(value, "read_u64", |addr| self.vm.read_u64(addr.add(offset)))
     }
 
     /// Write a `u64` at offset `offset` of the object behind `value`.
@@ -732,8 +738,7 @@ impl Runtime {
     /// Panics if `value` is a dangling handle (use [`Runtime::pin`] to recover
     /// instead).
     pub fn write_u64(&self, value: u64, offset: u64, data: u64) {
-        let p = self.pin_for_access(value, "write_u64");
-        self.vm.write_u64(p.addr().add(offset), data);
+        self.with_pinned(value, "write_u64", |addr| self.vm.write_u64(addr.add(offset), data));
     }
 
     // ------------------------------------------------------------------
@@ -757,7 +762,7 @@ impl Runtime {
     /// pins below their current operation boundary — so a permanently stuck
     /// thread degrades the pause rather than hanging it.
     pub fn with_stopped_world<R>(&self, f: impl FnOnce(&mut StoppedWorld<'_>) -> R) -> R {
-        let me = self.current_thread();
+        let me = self.with_thread(|t| t.id);
         // Serialize competing initiators: the pressure-recovery path starts
         // pauses from arbitrary mutator threads.  While queueing, this thread
         // is flagged as external so the pause already in progress does not
@@ -769,8 +774,9 @@ impl Runtime {
         self.external_end();
 
         let start = Instant::now();
-        let others: Vec<Arc<ThreadState>> =
-            self.threads.snapshot().into_iter().filter(|t| t.id != me.id).collect();
+        let others: Vec<Arc<ThreadState>> = self
+            .threads
+            .with_all(|threads| threads.iter().filter(|t| t.id != me).cloned().collect());
 
         const MAX_STOP_ATTEMPTS: u64 = 3;
         let mut backoff = Duration::from_millis(1);
@@ -795,10 +801,14 @@ impl Runtime {
         };
 
         // Unify pin sets from every registered thread (including ourselves).
+        // `stop_the_world` read each other thread's `parked`/`in_external`
+        // with `Acquire`, which is what makes its slots safe to read now.
         let mut pinned: HashSet<HandleId> = HashSet::new();
-        for t in self.threads.snapshot() {
-            t.pins.lock().collect_pinned(&mut pinned);
-        }
+        self.threads.with_all(|threads| {
+            for t in threads {
+                t.pins.collect_pinned(&mut pinned);
+            }
+        });
 
         let result = {
             let _shards = self.table.lock_all();
@@ -903,10 +913,16 @@ impl Runtime {
     /// Snapshot of the runtime event counters: the global totals plus every
     /// registered thread's private counters, folded together.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        for t in self.threads.snapshot() {
-            t.hot.fold_into(&mut snap);
-        }
+        // Under the registry lock, so a thread that unregisters meanwhile is
+        // counted exactly once: in its own counters or in the totals it
+        // flushed them into.
+        let mut snap = self.threads.with_all(|threads| {
+            let mut snap = self.stats.snapshot();
+            for t in threads {
+                t.hot.fold_into(&mut snap);
+            }
+            snap
+        });
         snap.shard_lock_contention += self.table.contention_events();
         snap
     }

@@ -1,106 +1,104 @@
 //! Thread registration and per-thread runtime state.
 //!
-//! Every thread that touches handle-allocated memory owns a [`ThreadState`]:
-//! its private pin sets (see [`crate::pinset`]), whether it is currently parked
-//! at a safepoint, and whether it is executing *external* (non-Alaska) code.
-//! The barrier (paper §4.1.3) only needs two facts per thread: "is it stopped
-//! somewhere its pin sets are valid?" and "which handles does it pin?" — both
-//! are answered from this structure.
+//! Every thread that touches handle-allocated memory is registered with the
+//! runtime it talks to, and the registration has two sides:
 //!
-//! The state also carries two pieces of hot-path scalability machinery:
+//! * [`ThreadState`], shared with barrier initiators and `stats` readers: the
+//!   thread's pin stack ([`crate::pinset`]), whether it is parked at a
+//!   safepoint or executing *external* (non-Alaska) code, and its event
+//!   counters ([`ThreadHotStats`]).  The barrier (paper §4.1.3) needs two
+//!   facts per thread — "is it stopped somewhere its pins are valid?" and
+//!   "which handles does it pin?" — and reads both here.  The owner is the
+//!   only writer, so it writes with plain loads and stores: no lock, no
+//!   read-modify-write.
+//! * [`ThreadCtx`], which never leaves the thread: the **free-ID magazine**,
+//!   a small LIFO of handle-table IDs reserved from one shard in batches, so
+//!   the common `halloc`/`hfree` touches no shard lock.  Nobody else ever
+//!   looks at it, so it is a plain `RefCell`.
 //!
-//! * a **free-ID magazine** — a small LIFO of handle-table IDs reserved from
-//!   one shard in batches, so the common `halloc`/`hfree` path touches no
-//!   shard lock at all, and
-//! * **per-thread event counters** ([`ThreadHotStats`]) — translation, pin
-//!   and allocation counts accumulate on thread-private cache lines instead
-//!   of bouncing one shared counter between cores; `Runtime::stats` folds
-//!   them into the global totals on demand.
+//! [`with_current`] resolves the calling thread's context once per runtime
+//! operation and lends it out; the hot path clones no `Arc`.
 
-use crate::pinset::PinSets;
+use crate::pinset::PinSlots;
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier assigned to a registered thread.
 pub type RuntimeThreadId = u64;
 
-/// Per-thread relaxed counters for events too hot to share a cache line
-/// across cores.  Folded into [`StatsSnapshot`] on demand and flushed into
-/// the global [`RuntimeStats`] when the thread unregisters.
-#[derive(Debug, Default)]
-pub struct ThreadHotStats {
-    /// `halloc` calls served on this thread.
-    pub hallocs: AtomicU64,
-    /// `hfree` calls served on this thread.
-    pub hfrees: AtomicU64,
-    /// Handle checks executed on this thread.
-    pub handle_checks: AtomicU64,
-    /// Translations that indexed the handle table on this thread.
-    pub translations: AtomicU64,
-    /// Raw-pointer pass-throughs on this thread.
-    pub pointer_passthroughs: AtomicU64,
-    /// Native pin operations on this thread.
-    pub pins: AtomicU64,
-    /// Native unpin operations on this thread.
-    pub unpins: AtomicU64,
-    /// Safepoint polls executed by this thread.
-    pub safepoint_polls: AtomicU64,
-    /// Times this thread's magazine refilled from a shard.
-    pub magazine_refills: AtomicU64,
-    /// Times this thread's magazine flushed surplus IDs back to a shard.
-    pub magazine_flushes: AtomicU64,
-}
+/// Define [`ThreadHotStats`] — one owner-bumped counter per name — with its
+/// fold and flush into the like-named [`StatsSnapshot`]/[`RuntimeStats`]
+/// fields.
+macro_rules! hot_counters {
+    ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
+        /// Per-thread counters for events too hot to share a cache line
+        /// across cores, bumped by their owner alone.  Folded into
+        /// [`StatsSnapshot`] on demand and flushed into the global
+        /// [`RuntimeStats`] when the thread unregisters.
+        #[derive(Debug, Default)]
+        pub struct ThreadHotStats {
+            $($(#[$doc])* pub $name: AtomicU64,)+
+        }
 
-macro_rules! for_each_hot_counter {
-    ($macro:ident) => {
-        $macro!(
-            hallocs,
-            hfrees,
-            handle_checks,
-            translations,
-            pointer_passthroughs,
-            pins,
-            unpins,
-            safepoint_polls,
-            magazine_refills,
-            magazine_flushes
-        )
+        impl ThreadHotStats {
+            /// Add this thread's counters into a snapshot being assembled.
+            pub fn fold_into(&self, snap: &mut StatsSnapshot) {
+                $(snap.$name += self.$name.load(Ordering::Relaxed);)+
+            }
+
+            /// Drain this thread's counters into the global stats (on
+            /// unregister), so totals survive thread exit.
+            pub fn flush_into(&self, global: &RuntimeStats) {
+                $(RuntimeStats::add(&global.$name, self.$name.swap(0, Ordering::Relaxed));)+
+            }
+        }
     };
 }
 
-impl ThreadHotStats {
-    /// Add this thread's counters into a snapshot being assembled.
-    pub fn fold_into(&self, snap: &mut StatsSnapshot) {
-        macro_rules! fold {
-            ($($name:ident),+) => {
-                $(snap.$name += self.$name.load(Ordering::Relaxed);)+
-            };
-        }
-        for_each_hot_counter!(fold);
-    }
+hot_counters! {
+    /// `halloc` calls served on this thread.
+    hallocs,
+    /// `hfree` calls served on this thread.
+    hfrees,
+    /// Handle checks executed on this thread.
+    handle_checks,
+    /// Translations that indexed the handle table on this thread.
+    translations,
+    /// Raw-pointer pass-throughs on this thread.
+    pointer_passthroughs,
+    /// Native pin operations on this thread.
+    pins,
+    /// Native unpin operations on this thread.
+    unpins,
+    /// Safepoint polls executed by this thread.
+    safepoint_polls,
+    /// Times this thread's magazine refilled from a shard.
+    magazine_refills,
+    /// Times this thread's magazine flushed surplus IDs back to a shard.
+    magazine_flushes,
+}
 
-    /// Drain this thread's counters into the global stats (on unregister), so
-    /// totals survive thread exit.
-    pub fn flush_into(&self, global: &RuntimeStats) {
-        macro_rules! flush {
-            ($($name:ident),+) => {
-                $(RuntimeStats::add(&global.$name, self.$name.swap(0, Ordering::Relaxed));)+
-            };
-        }
-        for_each_hot_counter!(flush);
+impl ThreadHotStats {
+    /// Owner-only increment: a load and a store, not a locked
+    /// read-modify-write — there is no second writer to lose an update to.
+    #[inline]
+    pub fn bump(counter: &AtomicU64) {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 }
 
-/// Per-thread state shared between the thread itself and the barrier
-/// coordinator.
+/// The side of a registration shared between the thread itself and the
+/// barrier coordinator.
 #[derive(Debug)]
 pub struct ThreadState {
     /// Registration ID.
     pub id: RuntimeThreadId,
-    /// The thread's private pin sets.
-    pub pins: Mutex<PinSets>,
+    /// The thread's pin stack (owner-written, see [`crate::pinset`]).
+    pub pins: PinSlots,
     /// True while the thread is blocked at a safepoint during a barrier.
     pub parked: AtomicBool,
     /// True while the thread is executing external (non-handle-aware) code —
@@ -109,11 +107,6 @@ pub struct ThreadState {
     pub in_external: AtomicBool,
     /// Thread-private event counters (see [`ThreadHotStats`]).
     pub hot: ThreadHotStats,
-    /// Free-ID magazine: handle-table IDs reserved for this thread.  Only the
-    /// owning thread pushes/pops in the common case; the mutex exists because
-    /// `ThreadState` is shared with the barrier coordinator and must stay
-    /// `Sync` without unsafe code.
-    pub magazine: Mutex<Vec<u32>>,
 }
 
 impl ThreadState {
@@ -121,11 +114,10 @@ impl ThreadState {
     pub fn new(id: RuntimeThreadId) -> Arc<Self> {
         Arc::new(ThreadState {
             id,
-            pins: Mutex::new(PinSets::new()),
+            pins: PinSlots::default(),
             parked: AtomicBool::new(false),
             in_external: AtomicBool::new(false),
             hot: ThreadHotStats::default(),
-            magazine: Mutex::new(Vec::new()),
         })
     }
 
@@ -143,11 +135,6 @@ pub struct ThreadRegistry {
 }
 
 impl ThreadRegistry {
-    /// Create an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Register a new thread and return its state.
     pub fn register(&self) -> Arc<ThreadState> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -156,25 +143,98 @@ impl ThreadRegistry {
         state
     }
 
-    /// Remove a thread from the registry (its pins vanish with it).
-    pub fn unregister(&self, id: RuntimeThreadId) {
-        self.threads.lock().retain(|t| t.id != id);
+    /// Remove a thread from the registry (its pins vanish with it), running
+    /// `last_rites` on its state first, under the registry lock: a concurrent
+    /// [`ThreadRegistry::with_all`] sees the thread either before or after
+    /// both, never in between.
+    pub fn unregister(&self, id: RuntimeThreadId, last_rites: impl FnOnce(&ThreadState)) {
+        let mut threads = self.threads.lock();
+        if let Some(pos) = threads.iter().position(|t| t.id == id) {
+            last_rites(&threads[pos]);
+            threads.remove(pos);
+        }
     }
 
-    /// Snapshot of all registered threads.
-    pub fn snapshot(&self) -> Vec<Arc<ThreadState>> {
-        self.threads.lock().clone()
+    /// Run `f` over the registered threads, under the registry lock.
+    pub fn with_all<R>(&self, f: impl FnOnce(&[Arc<ThreadState>]) -> R) -> R {
+        f(&self.threads.lock())
     }
+}
 
-    /// Number of registered threads.
-    pub fn len(&self) -> usize {
-        self.threads.lock().len()
-    }
+/// The calling thread's own side of its registration with one runtime.
+/// Dereferences to the shared [`ThreadState`].
+#[derive(Debug)]
+pub struct ThreadCtx {
+    runtime: usize,
+    shared: Arc<ThreadState>,
+    /// Free-ID magazine: handle-table IDs reserved for this thread.
+    pub magazine: RefCell<Vec<u32>>,
+}
 
-    /// Whether no threads are registered.
-    pub fn is_empty(&self) -> bool {
-        self.threads.lock().is_empty()
+impl std::ops::Deref for ThreadCtx {
+    type Target = ThreadState;
+    fn deref(&self) -> &ThreadState {
+        &self.shared
     }
+}
+
+/// This thread's contexts, one per runtime it has talked to.
+struct ThreadTls {
+    /// The context used last (a thread mostly talks to one runtime).  An
+    /// operation *takes* it and puts it back when done, so nothing is
+    /// borrowed while the operation runs: an operation nested inside
+    /// another — on this or a different runtime — just misses the cache.
+    current: Cell<Option<Rc<ThreadCtx>>>,
+    all: RefCell<Vec<Rc<ThreadCtx>>>,
+}
+
+thread_local! {
+    static TLS: ThreadTls =
+        const { ThreadTls { current: Cell::new(None), all: RefCell::new(Vec::new()) } };
+}
+
+/// Run `f` with the calling thread's context for runtime `runtime`,
+/// registering the thread with `registry` on first use.
+#[inline]
+pub fn with_current<R>(
+    runtime: usize,
+    registry: &ThreadRegistry,
+    f: impl FnOnce(&ThreadCtx) -> R,
+) -> R {
+    let ctx = match TLS.with(|tls| tls.current.take()) {
+        Some(ctx) if ctx.runtime == runtime => ctx,
+        _ => find_or_register(runtime, registry),
+    };
+    let out = f(&ctx);
+    TLS.with(|tls| tls.current.set(Some(ctx)));
+    out
+}
+
+#[cold]
+fn find_or_register(runtime: usize, registry: &ThreadRegistry) -> Rc<ThreadCtx> {
+    TLS.with(|tls| {
+        let mut all = tls.all.borrow_mut();
+        // A context nobody else holds belongs to a runtime that is gone (or
+        // that this thread left): drop it rather than collect them forever.
+        all.retain(|ctx| Arc::strong_count(&ctx.shared) > 1);
+        if let Some(ctx) = all.iter().find(|ctx| ctx.runtime == runtime) {
+            return Rc::clone(ctx);
+        }
+        let shared = registry.register();
+        all.push(Rc::new(ThreadCtx { runtime, shared, magazine: RefCell::default() }));
+        Rc::clone(all.last().expect("just pushed"))
+    })
+}
+
+/// Forget the calling thread's context for `runtime` (on unregister),
+/// returning it if there was one.
+pub fn take_current(runtime: usize) -> Option<Rc<ThreadCtx>> {
+    TLS.with(|tls| {
+        tls.current.set(tls.current.take().filter(|ctx| ctx.runtime != runtime));
+        let mut all = tls.all.borrow_mut();
+        let pos = all.iter().position(|ctx| ctx.runtime == runtime)?;
+        Some(all.swap_remove(pos))
+    })
 }
 
 #[cfg(test)]
@@ -183,21 +243,21 @@ mod tests {
 
     #[test]
     fn register_assigns_unique_ids() {
-        let reg = ThreadRegistry::new();
+        let reg = ThreadRegistry::default();
         let a = reg.register();
         let b = reg.register();
         assert_ne!(a.id, b.id);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.with_all(|threads| threads.len()), 2);
     }
 
     #[test]
     fn unregister_removes_thread() {
-        let reg = ThreadRegistry::new();
+        let reg = ThreadRegistry::default();
         let a = reg.register();
         let _b = reg.register();
-        reg.unregister(a.id);
-        assert_eq!(reg.len(), 1);
-        assert!(reg.snapshot().iter().all(|t| t.id != a.id));
+        reg.unregister(a.id, |_| ());
+        assert_eq!(reg.with_all(|threads| threads.len()), 1);
+        assert!(reg.with_all(|threads| threads.iter().all(|t| t.id != a.id)));
     }
 
     #[test]
@@ -213,9 +273,8 @@ mod tests {
 
     #[test]
     fn empty_registry_reports_empty() {
-        let reg = ThreadRegistry::new();
-        assert!(reg.is_empty());
-        assert_eq!(reg.len(), 0);
+        let reg = ThreadRegistry::default();
+        assert!(reg.with_all(|threads| threads.is_empty()));
     }
 
     #[test]
