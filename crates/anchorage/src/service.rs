@@ -17,17 +17,18 @@
 //!
 //! A pass runs in three phases, all under the pause:
 //!
-//! 1. **Plan** — pick the source, walk its per-sub-heap *resident index*
-//!    (a `BTreeMap` kept incrementally on alloc/free/move, so no global
-//!    `objects` scan) top-down until the budget is filled, reserve every
-//!    destination range up front, and coalesce moves whose source *and*
-//!    destination blocks are adjacent into batched copy ranges.
+//! 1. **Plan** — pick the source, walk its address range of the *index*
+//!    (the one address-ordered map of live blocks, see
+//!    [`AnchorageService`]) top-down until the budget is filled, reserve
+//!    every destination range up front, and coalesce moves whose source
+//!    *and* destination blocks are adjacent into batched copy ranges.
 //! 2. **Copy** — execute the disjoint batches on a `std::thread::scope`
 //!    worker pool ([`StoppedWorld::move_batch`]); worker count comes from
 //!    `ALASKA_DEFRAG_WORKERS`, [`AnchorageConfig::defrag_workers`] or
 //!    `available_parallelism`, with a serial fallback on one core.
-//! 3. **Commit** — fold bookkeeping (`objects`, resident index, free lists,
-//!    extent trim and release) back in on the initiating thread.
+//! 3. **Commit** — on the initiating thread, per moved object: free the
+//!    source block and re-key its index record from source to destination
+//!    address; then trim the source's extent and release the vacated pages.
 
 use crate::subheap::SubHeap;
 use alaska_faultline as faultline;
@@ -36,7 +37,7 @@ use alaska_heap::{align_up, AllocStats};
 use alaska_runtime::handle::HandleId;
 use alaska_runtime::service::{DefragOutcome, PlannedMove, Service, ServiceContext, StoppedWorld};
 use alaska_telemetry::{Counter, Event, Gauge, Histogram, Telemetry, TelemetrySink};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{btree_map::Entry, BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -77,16 +78,6 @@ struct AnchorageTelemetry {
     batch_objects: Arc<Histogram>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ObjRecord {
-    subheap: usize,
-    addr: VirtAddr,
-    /// Rounded (granule-aligned) size actually occupied.
-    rounded: u64,
-    /// Size the application requested.
-    requested: u64,
-}
-
 /// Configuration for [`AnchorageService`].
 #[derive(Debug, Clone, Copy)]
 pub struct AnchorageConfig {
@@ -123,14 +114,18 @@ impl Default for AnchorageConfig {
 pub struct AnchorageService {
     vm: VirtualMemory,
     config: AnchorageConfig,
+    /// In increasing base-address order (`vm.map` hands out increasing
+    /// bases and sub-heaps are never removed), so the sub-heap owning an
+    /// address is found by binary search.
     subheaps: Vec<SubHeap>,
     active: usize,
-    objects: HashMap<HandleId, ObjRecord>,
-    /// Per-sub-heap resident index: for each sub-heap, the live objects it
-    /// holds keyed by absolute address.  Kept incrementally on every
-    /// alloc/free/realloc/move, so a defrag pass selects victims with an
-    /// ordered walk of one map instead of scanning the global `objects`.
-    residents: Vec<BTreeMap<u64, HandleId>>,
+    /// The only record of live objects: block address → (owning handle,
+    /// requested size).  The occupied size is [`SubHeap::rounded_size`] of
+    /// the requested one, the owning sub-heap follows from the address, and
+    /// ID → address is the handle table's job — the runtime passes the
+    /// address back on `free`/`realloc`.  One sub-heap's objects are one
+    /// contiguous key range, which is what a defrag pass walks.
+    index: BTreeMap<u64, (HandleId, u32)>,
     stats: AllocStats,
     /// Total bytes ever released back to the kernel by defragmentation.
     pub total_released: u64,
@@ -152,8 +147,7 @@ impl AnchorageService {
             config,
             subheaps: vec![first],
             active: 0,
-            objects: HashMap::new(),
-            residents: vec![BTreeMap::new()],
+            index: BTreeMap::new(),
             stats: AllocStats::default(),
             total_released: 0,
             telemetry: None,
@@ -180,15 +174,6 @@ impl AnchorageService {
         self.subheaps.iter().map(|s| s.capacity()).sum()
     }
 
-    /// Whether reserving one more sub-heap of `capacity` bytes stays under
-    /// the configured [`AnchorageConfig::max_heap_bytes`] ceiling.
-    fn may_reserve(&self, capacity: u64) -> bool {
-        match self.config.max_heap_bytes {
-            Some(limit) => self.reserved_bytes().saturating_add(capacity) <= limit,
-            None => true,
-        }
-    }
-
     /// Recompute `stats.heap_extent` from scratch — used as a backstop at the
     /// end of a defragmentation pass, where many sub-heaps change at once.
     fn recompute_extent(&mut self) {
@@ -209,32 +194,55 @@ impl AnchorageService {
         r
     }
 
-    /// Reserve a fresh sub-heap of `capacity` bytes, growing the resident
-    /// index alongside (every sub-heap has a resident map, always).
-    fn push_subheap(&mut self, capacity: u64) -> usize {
+    /// Reserve a fresh sub-heap of `capacity` bytes and make it the active
+    /// one, unless that would exceed the configured
+    /// [`AnchorageConfig::max_heap_bytes`] ceiling.
+    fn open_subheap(&mut self, capacity: u64) -> Option<usize> {
+        let limit = self.config.max_heap_bytes.unwrap_or(u64::MAX);
+        if self.reserved_bytes().saturating_add(capacity) > limit {
+            return None;
+        }
         let idx = self.subheaps.len();
         self.subheaps.push(SubHeap::new(idx, &self.vm, capacity));
-        self.residents.push(BTreeMap::new());
-        idx
+        self.active = idx;
+        self.note_subheap_open(idx);
+        Some(idx)
+    }
+
+    /// Index of the sub-heap whose reservation holds `addr` (the address of
+    /// an indexed block, so there always is one).
+    fn subheap_of(&self, addr: VirtAddr) -> usize {
+        self.subheaps.partition_point(|s| s.base() <= addr) - 1
+    }
+
+    /// Remove the record at `addr` and return its size — if it is handle
+    /// `id`'s.  Anything else (no block starts there, or another handle's
+    /// does) is not this caller's to release and is left alone; the runtime
+    /// catches double frees upstream, so this is a defensive check.
+    fn take_record(&mut self, id: HandleId, addr: VirtAddr) -> Option<u32> {
+        match self.index.entry(addr.0) {
+            Entry::Occupied(rec) if rec.get().0 == id => Some(rec.remove().1),
+            _ => None,
+        }
+    }
+
+    /// The key range of the index that holds sub-heap `idx`'s records.
+    fn span(&self, idx: usize) -> std::ops::Range<u64> {
+        let base = self.subheaps[idx].base().0;
+        base..base + self.subheaps[idx].capacity()
     }
 
     /// Find a sub-heap and carve a block of `size` bytes from it, opening a
     /// fresh sub-heap when the chosen one cannot serve the request after all
     /// (e.g. its free list had only smaller blocks).
-    fn obtain_block(&mut self, size: u64) -> Option<(usize, VirtAddr)> {
+    fn obtain_block(&mut self, size: u64) -> Option<VirtAddr> {
         let idx = self.pick_subheap(size)?;
         if let Some(a) = self.subheap_op(idx, |s| s.alloc(size)) {
-            return Some((idx, a));
+            return Some(a);
         }
         let capacity = self.config.subheap_capacity.max(SubHeap::rounded_size(size));
-        if !self.may_reserve(capacity) {
-            return None;
-        }
-        let new_idx = self.push_subheap(capacity);
-        self.active = new_idx;
-        self.note_subheap_open(new_idx);
-        let a = self.subheap_op(new_idx, |s| s.alloc(size))?;
-        Some((new_idx, a))
+        let new_idx = self.open_subheap(capacity)?;
+        self.subheap_op(new_idx, |s| s.alloc(size))
     }
 
     /// Publish a sub-heap open (or empty-reuse) at `idx` to the hub, if any.
@@ -277,14 +285,7 @@ impl AnchorageService {
             self.note_subheap_open(idx);
             return Some(idx);
         }
-        let capacity = self.config.subheap_capacity.max(rounded);
-        if !self.may_reserve(capacity) {
-            return None;
-        }
-        let idx = self.push_subheap(capacity);
-        self.active = idx;
-        self.note_subheap_open(idx);
-        Some(idx)
+        self.open_subheap(self.config.subheap_capacity.max(rounded))
     }
 
     /// Choose the source sub-heap for a defragmentation pass.
@@ -301,31 +302,26 @@ impl AnchorageService {
             .map(|(i, _)| i)
     }
 
-    /// After objects were moved out of sub-heap `idx`, shrink its extent to the
-    /// highest surviving object and return the vacated pages to the kernel.
-    /// The highest survivor comes straight off the back of the resident index
-    /// (`O(log n)` instead of a scan over every live object in the heap).
-    fn trim_and_release(&mut self, idx: usize) -> u64 {
-        let max_live_end = self.residents[idx]
-            .iter()
-            .next_back()
-            .map(|(&addr, id)| {
-                VirtAddr(addr).offset_from(self.subheaps[idx].base()) + self.objects[id].rounded
-            })
-            .unwrap_or(0);
+    /// After objects were moved out of sub-heap `idx`, whose extent was
+    /// `old_extent` when the pass began, shrink it to the highest surviving
+    /// object and return the vacated pages to the kernel.  `old_extent` is
+    /// the caller's because freeing the top victim already lowered the
+    /// cursor past that victim's pages.  The highest survivor comes straight
+    /// off the back of the sub-heap's index range (`O(log n)`).
+    fn trim_and_release(&mut self, idx: usize, old_extent: u64) -> u64 {
         let base = self.subheaps[idx].base();
-        let old_extent = self.subheaps[idx].truncate_to(max_live_end);
-        if old_extent > max_live_end {
-            let page = self.vm.page_size() as u64;
-            let release_from = align_up(max_live_end, page);
-            if old_extent > release_from {
-                let released =
-                    self.vm.madvise_dontneed(base.add(release_from), old_extent - release_from);
-                self.total_released += released;
-                return released;
-            }
+        let top = self.index.range(self.span(idx)).next_back();
+        let max_live_end = top.map_or(0, |(&addr, &(_, size))| {
+            addr - base.0 + SubHeap::rounded_size(u64::from(size))
+        });
+        self.subheaps[idx].truncate_to(max_live_end);
+        let release_from = align_up(max_live_end, self.vm.page_size() as u64);
+        if old_extent <= release_from {
+            return 0;
         }
-        0
+        let released = self.vm.madvise_dontneed(base.add(release_from), old_extent - release_from);
+        self.total_released += released;
+        released
     }
 
     /// Effective copy-phase worker count for one pass: the
@@ -341,43 +337,43 @@ impl AnchorageService {
             .clamp(1, 64)
     }
 
-    /// Check that the per-sub-heap resident index exactly mirrors the global
-    /// `objects` map and the sub-heaps' live counts.
+    /// Check the index against the sub-heaps' own counters: within each
+    /// sub-heap's address range no two records overlap, none reaches past the
+    /// used extent, and their count and rounded bytes equal the sub-heap's
+    /// live counts; no record lies outside every sub-heap.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency found.
-    pub fn verify_resident_index(&self) -> Result<(), String> {
-        if self.residents.len() != self.subheaps.len() {
-            return Err(format!(
-                "{} resident maps for {} sub-heaps",
-                self.residents.len(),
-                self.subheaps.len()
-            ));
-        }
-        let indexed: usize = self.residents.iter().map(|m| m.len()).sum();
-        if indexed != self.objects.len() {
-            return Err(format!("index holds {indexed} entries, objects {}", self.objects.len()));
-        }
-        for (id, rec) in &self.objects {
-            match self.residents[rec.subheap].get(&rec.addr.0) {
-                Some(found) if found == id => {}
-                other => {
+    pub fn verify_index(&self) -> Result<(), String> {
+        let mut indexed = 0;
+        for (i, heap) in self.subheaps.iter().enumerate() {
+            let (mut end, mut count, mut bytes) = (heap.base().0, 0u64, 0u64);
+            for (&addr, &(id, size)) in self.index.range(self.span(i)) {
+                if addr < end {
                     return Err(format!(
-                        "object {id:?} at {:#x} in sub-heap {}: index has {other:?}",
-                        rec.addr.0, rec.subheap
+                        "sub-heap {i}: {id:?} at {addr:#x} overlaps its neighbour"
                     ));
                 }
+                end = addr + SubHeap::rounded_size(u64::from(size));
+                count += 1;
+                bytes += end - addr;
             }
-        }
-        for (i, m) in self.residents.iter().enumerate() {
-            if m.len() as u64 != self.subheaps[i].live_objects() {
+            if end > heap.base().0 + heap.extent()
+                || (count, bytes) != (heap.live_objects(), heap.live_bytes())
+            {
                 return Err(format!(
-                    "sub-heap {i}: index holds {} residents, heap counts {}",
-                    m.len(),
-                    self.subheaps[i].live_objects()
+                    "sub-heap {i}: index holds {count} objects / {bytes} bytes ending at {end:#x}, \
+                     heap counts {} / {} in extent {:#x}",
+                    heap.live_objects(),
+                    heap.live_bytes(),
+                    heap.extent()
                 ));
             }
+            indexed += count;
+        }
+        if indexed != self.index.len() as u64 {
+            return Err(format!("{} records, {indexed} inside sub-heaps", self.index.len()));
         }
         Ok(())
     }
@@ -389,25 +385,23 @@ impl Service for AnchorageService {
     fn deinit(&mut self, _ctx: &ServiceContext) {}
 
     fn alloc(&mut self, size: usize, id: HandleId) -> Option<VirtAddr> {
-        let (idx, addr) = self.obtain_block(size as u64)?;
-        let rounded = SubHeap::rounded_size(size as u64);
-        self.objects.insert(id, ObjRecord { subheap: idx, addr, rounded, requested: size as u64 });
-        self.residents[idx].insert(addr.0, id);
-        self.stats.live_bytes += rounded;
+        let requested = u32::try_from(size).ok()?;
+        let addr = self.obtain_block(size as u64)?;
+        self.index.insert(addr.0, (id, requested));
+        self.stats.live_bytes += SubHeap::rounded_size(size as u64);
         self.stats.live_objects += 1;
         self.stats.total_allocated += size as u64;
         self.stats.total_allocations += 1;
         Some(addr)
     }
 
-    fn free(&mut self, id: HandleId, _addr: VirtAddr, _size: usize) {
-        let rec = match self.objects.remove(&id) {
-            Some(r) => r,
-            None => return, // already untracked (defensive: runtime double-free is caught upstream)
-        };
-        self.residents[rec.subheap].remove(&rec.addr.0);
-        self.subheap_op(rec.subheap, |s| s.free(rec.addr, rec.rounded));
-        self.stats.live_bytes -= rec.rounded;
+    fn free(&mut self, id: HandleId, addr: VirtAddr, _size: usize) {
+        // The block's size is the record's own, so a wrong `_size` cannot
+        // corrupt the free lists.
+        let Some(size) = self.take_record(id, addr) else { return };
+        let rounded = SubHeap::rounded_size(u64::from(size));
+        self.subheap_op(self.subheap_of(addr), |s| s.free(addr, rounded));
+        self.stats.live_bytes -= rounded;
         self.stats.live_objects -= 1;
         self.stats.total_frees += 1;
     }
@@ -415,21 +409,24 @@ impl Service for AnchorageService {
     fn realloc(
         &mut self,
         id: HandleId,
-        _old_addr: VirtAddr,
+        old_addr: VirtAddr,
         _old_size: usize,
         new_size: usize,
     ) -> Option<VirtAddr> {
-        let old = *self.objects.get(&id)?;
-        // Destination first, so a failed request leaves the object untouched.
-        let (idx, dst) = self.obtain_block(new_size as u64)?;
-        self.vm.copy(old.addr, dst, old.requested.min(new_size as u64) as usize);
-        self.subheap_op(old.subheap, |s| s.free(old.addr, old.rounded));
-        self.residents[old.subheap].remove(&old.addr.0);
-        self.residents[idx].insert(dst.0, id);
+        let requested = u32::try_from(new_size).ok()?;
+        let old_size = self.take_record(id, old_addr)?;
+        // Destination before the old block is released, so a failed request
+        // leaves the object untouched (its record goes back).
+        let Some(dst) = self.obtain_block(new_size as u64) else {
+            self.index.insert(old_addr.0, (id, old_size));
+            return None;
+        };
+        self.index.insert(dst.0, (id, requested));
+        self.vm.copy(old_addr, dst, old_size.min(requested) as usize);
+        let old_rounded = SubHeap::rounded_size(u64::from(old_size));
+        self.subheap_op(self.subheap_of(old_addr), |s| s.free(old_addr, old_rounded));
         let rounded = SubHeap::rounded_size(new_size as u64);
-        self.objects
-            .insert(id, ObjRecord { subheap: idx, addr: dst, rounded, requested: new_size as u64 });
-        self.stats.live_bytes = self.stats.live_bytes - old.rounded + rounded;
+        self.stats.live_bytes = self.stats.live_bytes - old_rounded + rounded;
         self.stats.total_allocated += new_size as u64;
         self.stats.total_allocations += 1;
         self.stats.total_frees += 1;
@@ -437,11 +434,7 @@ impl Service for AnchorageService {
     }
 
     fn usable_size(&self, addr: VirtAddr) -> Option<usize> {
-        let idx = self.subheaps.iter().position(|s| s.contains(addr))?;
-        self.residents[idx]
-            .get(&addr.0)
-            .and_then(|id| self.objects.get(id))
-            .map(|r| r.requested as usize)
+        self.index.get(&addr.0).map(|&(_, size)| size as usize)
     }
 
     fn heap_stats(&self) -> AllocStats {
@@ -504,17 +497,11 @@ impl Service for AnchorageService {
                     {
                         self.subheap_op(idx, |s| s.reset());
                         self.active = idx;
-                    } else {
-                        let cap = self.config.subheap_capacity;
-                        if !self.may_reserve(cap) {
-                            // Under the heap ceiling there is no room for a
-                            // fresh destination; shed the pass instead.
-                            outcome.plan_ns = plan_start.elapsed().as_nanos() as u64;
-                            return outcome;
-                        }
-                        let idx = self.push_subheap(cap);
-                        self.active = idx;
-                        self.note_subheap_open(idx);
+                    } else if self.open_subheap(self.config.subheap_capacity).is_none() {
+                        // Under the heap ceiling there is no room for a
+                        // fresh destination; shed the pass instead.
+                        outcome.plan_ns = plan_start.elapsed().as_nanos() as u64;
+                        return outcome;
                     }
                     self.note_rotate(old_active, self.active);
                     old_active
@@ -531,18 +518,12 @@ impl Service for AnchorageService {
             return outcome;
         }
 
-        debug_assert_eq!(
-            self.residents[source].len() as u64,
-            self.subheaps[source].live_objects(),
-            "resident index must mirror the source sub-heap"
-        );
-
-        // Select victims top-down from the source's resident index (never the
-        // global `objects` map), so the extent can be truncated afterwards and
-        // the budget keeps bounding bytes copied per pause.
-        let mut victims: Vec<(HandleId, ObjRecord)> = Vec::new();
+        // Select victims top-down from the source's range of the index, so
+        // the extent can be truncated afterwards and the budget keeps bounding
+        // bytes copied per pause.
+        let mut victims: Vec<(VirtAddr, HandleId, u64)> = Vec::new();
         let mut planned_bytes = 0u64;
-        for (&addr, &id) in self.residents[source].iter().rev() {
+        for (&addr, &(id, size)) in self.index.range(self.span(source)).rev() {
             if planned_bytes >= budget || faultline::fire!("defrag.move") {
                 break;
             }
@@ -550,30 +531,26 @@ impl Service for AnchorageService {
                 outcome.objects_skipped_pinned += 1;
                 continue;
             }
-            let rec = self.objects[&id];
-            debug_assert_eq!(rec.addr.0, addr, "resident index points at the object's address");
-            victims.push((id, rec));
-            planned_bytes += rec.rounded;
+            victims.push((VirtAddr(addr), id, u64::from(size)));
+            planned_bytes += SubHeap::rounded_size(u64::from(size));
         }
         // Reserve destinations in ascending source order: the destination bump
         // cursor then advances in lock-step, so adjacent source blocks get
         // adjacent destinations and coalesce into one copy range.
         victims.reverse();
         let mut moves: Vec<PlannedMove> = Vec::with_capacity(victims.len());
-        let mut dst_idxs: Vec<usize> = Vec::with_capacity(victims.len());
-        for (id, rec) in victims {
+        for (src, id, size) in victims {
             // Destination space comes from the normal allocation path (but
             // never from the source itself).
-            let dst_idx = match self.pick_subheap(rec.requested) {
+            let dst_idx = match self.pick_subheap(size) {
                 Some(i) if i != source => i,
                 _ => continue,
             };
-            let dst = match self.subheaps[dst_idx].alloc(rec.requested) {
+            let dst = match self.subheaps[dst_idx].alloc(size) {
                 Some(a) => a,
                 None => continue,
             };
-            moves.push(PlannedMove { id, src: rec.addr, dst, len: rec.rounded });
-            dst_idxs.push(dst_idx);
+            moves.push(PlannedMove { id, src, dst, len: SubHeap::rounded_size(size) });
         }
         // Coalesce runs that are adjacent on both sides into copy batches
         // (half-open index ranges over `moves`).
@@ -654,31 +631,31 @@ impl Service for AnchorageService {
 
         // ---- Commit: fold bookkeeping back in on the initiating thread.
         let commit_start = Instant::now();
-        for (mv, &dst_idx) in moves.iter().zip(&dst_idxs) {
+        // Read before the frees below: freeing the top victim lowers the
+        // cursor, and its pages must still be released.
+        let source_extent = self.subheaps[source].extent();
+        for mv in &moves {
             if failed.contains(&mv.id) {
                 // Could not move after all (defensive; nothing can free an
                 // entry under the pause): give the destination block back.
+                let dst_idx = self.subheap_of(mv.dst);
                 self.subheaps[dst_idx].free(mv.dst, mv.len);
                 continue;
             }
             // The object now lives in the destination.
             self.subheaps[source].free(mv.src, mv.len);
-            let prior = self.residents[source].remove(&mv.src.0);
-            debug_assert_eq!(prior, Some(mv.id));
-            self.residents[dst_idx].insert(mv.dst.0, mv.id);
-            let rec = self.objects.get_mut(&mv.id).expect("planned object is tracked");
-            rec.subheap = dst_idx;
-            rec.addr = mv.dst;
+            let rec = self.index.remove(&mv.src.0).expect("planned object is indexed");
+            self.index.insert(mv.dst.0, rec);
             outcome.objects_moved += 1;
             outcome.bytes_moved += mv.len;
         }
         // A commit fault sheds the release step (the moved objects are already
         // safely repointed; only the RSS reclaim is deferred to a later pass).
         if !faultline::fire!("defrag.commit") {
-            outcome.bytes_released = self.trim_and_release(source);
+            outcome.bytes_released = self.trim_and_release(source, source_extent);
         }
         self.recompute_extent();
-        debug_assert_eq!(self.verify_resident_index(), Ok(()));
+        debug_assert_eq!(self.verify_index(), Ok(()));
         outcome.commit_ns = commit_start.elapsed().as_nanos() as u64;
         if let Some(tel) = &self.telemetry {
             tel.released.add(outcome.bytes_released);
@@ -810,6 +787,60 @@ mod tests {
             rss_after < rss_before,
             "RSS must drop after defragmentation ({rss_before} -> {rss_after})"
         );
+    }
+
+    #[test]
+    fn a_pass_returns_the_top_victims_pages_too() {
+        const BLOCK: usize = 256 * 1024;
+        let vm = VirtualMemory::default();
+        let cfg = AnchorageConfig { subheap_capacity: 1 << 20, ..Default::default() };
+        let rt = Runtime::with_vm(vm.clone(), Box::new(AnchorageService::with_config(vm, cfg)));
+        let touched = |size: usize| {
+            let h = rt.halloc(size).unwrap();
+            rt.write_bytes(h, 0, &vec![0xA5; size]);
+            h
+        };
+        let [a, b, _c] = [touched(BLOCK), touched(BLOCK), touched(BLOCK)];
+        let _big = touched(2 * BLOCK); // does not fit beside them: opens sub-heap 1
+        rt.hfree(a).unwrap();
+        rt.hfree(b).unwrap();
+        // The only victim is the source's top block: freeing it at commit
+        // lowers the cursor, and its pages must be released all the same.
+        let outcome = rt.defragment(None);
+        assert_eq!(outcome.objects_moved, 1);
+        assert_eq!(outcome.bytes_released, 3 * BLOCK as u64, "all of sub-heap 0 was vacated");
+        assert_eq!(rt.rss_bytes(), rt.service_stats().live_bytes, "no page left behind");
+    }
+
+    #[test]
+    fn free_and_realloc_of_a_block_that_is_not_the_handles_change_nothing() {
+        let vm = VirtualMemory::default();
+        let cfg = AnchorageConfig { subheap_capacity: 4096, ..Default::default() };
+        let mut svc = AnchorageService::with_config(vm, cfg);
+        let addrs: Vec<VirtAddr> = (0..8).map(|i| svc.alloc(600, HandleId(i)).unwrap()).collect();
+        svc.free(HandleId(1), addrs[1], 600);
+        let snapshot = |svc: &AnchorageService| {
+            let heaps: Vec<_> = svc
+                .subheaps
+                .iter()
+                .map(|s| (s.extent(), s.live_objects(), s.live_bytes(), s.free_listed_bytes()))
+                .collect();
+            (svc.heap_stats(), svc.heap_extent(), heaps, svc.index.clone())
+        };
+        let before = snapshot(&svc);
+        // No record at the address: freed, inside a block, outside every sub-heap.
+        for addr in [addrs[1], addrs[2].add(16), VirtAddr(0), VirtAddr(u64::MAX)] {
+            svc.free(HandleId(2), addr, 600);
+            assert_eq!(svc.realloc(HandleId(2), addr, 600, 900), None);
+        }
+        // A record, but another handle's.
+        svc.free(HandleId(3), addrs[2], 600);
+        assert_eq!(svc.realloc(HandleId(3), addrs[2], 600, 900), None);
+        assert_eq!(snapshot(&svc), before);
+        svc.verify_index().unwrap();
+        // The rightful owner still can.
+        svc.free(HandleId(2), addrs[2], 600);
+        assert_eq!(svc.heap_stats().live_objects, 6);
     }
 
     #[test]
@@ -960,14 +991,12 @@ mod tests {
         let vm = VirtualMemory::default();
         let cfg = AnchorageConfig { subheap_capacity: 4096, ..Default::default() };
         let mut svc = AnchorageService::with_config(vm, cfg);
-        for i in 0..50 {
-            svc.alloc(700, HandleId(i)).unwrap();
-        }
+        let addrs: Vec<VirtAddr> = (0..50).map(|i| svc.alloc(700, HandleId(i)).unwrap()).collect();
         for i in (0..50).step_by(2) {
-            svc.free(HandleId(i), VirtAddr(0), 0);
+            svc.free(HandleId(i as u32), addrs[i], 700);
         }
         for i in (1..50).step_by(4) {
-            svc.realloc(HandleId(i), VirtAddr(0), 700, 1200).unwrap();
+            svc.realloc(HandleId(i as u32), addrs[i], 700, 1200).unwrap();
         }
         assert_eq!(
             svc.heap_stats().heap_extent,
@@ -1006,15 +1035,17 @@ mod tests {
         // Fill sub-heap 0 with page-sized objects so a second sub-heap opens
         // and becomes active, touching every page so whole resident pages are
         // left behind for shedding.
+        let mut addrs = Vec::new();
         for i in 0..8u32 {
             let a = svc.alloc(4096, HandleId(i)).unwrap();
             vm.write_u64(a, u64::from(i));
+            addrs.push(a);
         }
         assert!(svc.subheap_count() >= 2);
         // Empty sub-heap 0 in address order: the non-top blocks land in bins,
         // so its extent stays nonzero while its live count drops to zero.
         for i in 0..4u32 {
-            svc.free(HandleId(i), VirtAddr(0), 0);
+            svc.free(HandleId(i), addrs[i as usize], 4096);
         }
         let shed = svc.shed_memory();
         assert!(shed > 0, "the emptied sub-heap's pages must be returned");
@@ -1060,28 +1091,28 @@ mod tests {
         let cfg = AnchorageConfig { subheap_capacity: 64 * 1024, ..Default::default() };
         let mut svc = AnchorageService::with_config(vm.clone(), cfg);
         // Alloc across several sub-heaps, free a fragmenting pattern, realloc
-        // some survivors: the index must mirror `objects` after every step.
-        for i in 0..600u32 {
-            svc.alloc(256, HandleId(i)).unwrap();
-        }
-        svc.verify_resident_index().unwrap();
+        // some survivors: the index must agree with the sub-heaps' counters
+        // after every step.
+        let mut addrs: Vec<VirtAddr> =
+            (0..600u32).map(|i| svc.alloc(256, HandleId(i)).unwrap()).collect();
+        svc.verify_index().unwrap();
         for i in 0..600u32 {
             if i % 4 != 0 {
-                svc.free(HandleId(i), VirtAddr(0), 0);
+                svc.free(HandleId(i), addrs[i as usize], 256);
             }
         }
-        svc.verify_resident_index().unwrap();
-        for i in (0..600u32).step_by(8) {
-            svc.realloc(HandleId(i), VirtAddr(0), 256, 700).unwrap();
+        svc.verify_index().unwrap();
+        for i in (0..600usize).step_by(8) {
+            addrs[i] = svc.realloc(HandleId(i as u32), addrs[i], 256, 700).unwrap();
         }
-        svc.verify_resident_index().unwrap();
-        // Usable size resolves through the per-sub-heap index.
-        let addr = svc.objects[&HandleId(0)].addr;
-        assert_eq!(svc.usable_size(addr), Some(700));
+        svc.verify_index().unwrap();
+        assert_eq!(svc.usable_size(addrs[0]), Some(700));
+        assert_eq!(svc.usable_size(addrs[4]), Some(256));
+        assert_eq!(svc.usable_size(addrs[1]), None, "a freed block has no record");
 
         // Defragment (moves + possible rotation): `defragment` ends with a
-        // debug assertion on `verify_resident_index`, so this pass checks the
-        // index after moves and rotation too.  Fresh runtime: handle IDs are
+        // debug assertion on `verify_index`, so this pass checks the index
+        // after moves and rotation too.  Fresh runtime: handle IDs are
         // the runtime's to assign, so the hand-rolled ones above must not mix.
         let vm = VirtualMemory::default();
         let svc = AnchorageService::with_config(vm.clone(), cfg);
@@ -1100,8 +1131,7 @@ mod tests {
         }
         let outcome = rt.defragment(None);
         assert!(outcome.objects_moved > 0);
-        // Every survivor's post-move address resolves through the per-sub-heap
-        // index (usable_size consults residents, not a global address map).
+        // Every survivor's post-move address resolves through the index.
         for h in survivors {
             assert_eq!(rt.usable_size(h), Some(256));
         }

@@ -33,6 +33,9 @@ pub struct SubHeap {
     cursor: u64,
     /// Power-of-two free lists of (offset, block size).
     bins: Vec<Vec<(u64, u64)>>,
+    /// Sum of the block sizes in `bins`, kept in step with every push, pop
+    /// and drop so the allocation path never folds over the lists.
+    free_listed: u64,
     /// Bytes currently live in this sub-heap.
     live_bytes: u64,
     /// Number of live objects in this sub-heap.
@@ -49,6 +52,7 @@ impl SubHeap {
             capacity,
             cursor: 0,
             bins: vec![Vec::new(); BINS],
+            free_listed: 0,
             live_bytes: 0,
             live_objects: 0,
         }
@@ -89,11 +93,10 @@ impl SubHeap {
         alaska_heap::fragmentation_ratio(self.cursor, self.live_bytes)
     }
 
-    /// Bytes of free space available without growing the extent (free-listed
-    /// blocks only; an O(heap) scan is avoided by keeping a running total in
-    /// the caller — this method is for tests).
+    /// Bytes of free space available without growing the extent: the total
+    /// size of the free-listed blocks, read from a running total in `O(1)`.
     pub fn free_listed_bytes(&self) -> u64 {
-        self.bins.iter().flatten().map(|&(_, s)| s).sum()
+        self.free_listed
     }
 
     /// Allocate `size` bytes.  Checks the front of the matching power-of-two
@@ -106,6 +109,7 @@ impl SubHeap {
         if let Some(&(off, block)) = self.bins[bin].last() {
             if block >= rounded {
                 self.bins[bin].pop();
+                self.free_listed -= block;
                 self.live_bytes += rounded;
                 self.live_objects += 1;
                 return Some(self.base.add(off));
@@ -133,6 +137,7 @@ impl SubHeap {
             self.cursor = off;
         } else {
             self.bins[bin_for(rounded)].push((off, rounded));
+            self.free_listed += rounded;
         }
         self.live_bytes -= rounded;
         self.live_objects -= 1;
@@ -140,16 +145,16 @@ impl SubHeap {
 
     /// Shrink the used extent to `new_extent` after a defragmentation pass
     /// vacated the top of the sub-heap.  Free-list entries above the new
-    /// extent are dropped (that space is no longer part of the heap).  Returns
-    /// the previous extent.
-    pub fn truncate_to(&mut self, new_extent: u64) -> u64 {
-        let old = self.cursor;
-        debug_assert!(new_extent <= old, "truncate_to must shrink the extent");
+    /// extent are dropped (that space is no longer part of the heap).
+    pub fn truncate_to(&mut self, new_extent: u64) {
+        debug_assert!(new_extent <= self.cursor, "truncate_to must shrink the extent");
         self.cursor = new_extent;
         for bin in &mut self.bins {
             bin.retain(|&(off, _)| off < new_extent);
         }
-        old
+        // The retain above already visited every entry; one more fold here
+        // keeps the total exact without a subtraction per dropped block.
+        self.free_listed = self.bins.iter().flatten().map(|&(_, size)| size).sum();
     }
 
     /// Forget all free-list state and reset the bump cursor — used after a
@@ -158,6 +163,7 @@ impl SubHeap {
         debug_assert_eq!(self.live_objects, 0, "reset of a sub-heap with live objects");
         self.cursor = 0;
         self.live_bytes = 0;
+        self.free_listed = 0;
         for b in &mut self.bins {
             b.clear();
         }
@@ -236,6 +242,49 @@ mod tests {
         sh.reset();
         assert_eq!(sh.extent(), 0);
         assert_eq!(sh.free_listed_bytes(), 0);
+    }
+
+    #[test]
+    fn running_free_listed_total_equals_the_fold_over_the_bins() {
+        let (_vm, mut sh) = sub();
+        let fold = |sh: &SubHeap| sh.bins.iter().flatten().map(|&(_, s)| s).sum::<u64>();
+        let mut live: Vec<(VirtAddr, u64)> = Vec::new();
+        let mut word = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..2_000u64 {
+            word = word.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = word >> 33;
+            match r % 3 {
+                0 if !live.is_empty() => {
+                    let (addr, size) = live.swap_remove(r as usize % live.len());
+                    sh.free(addr, size);
+                }
+                _ => {
+                    // Sizes that share bins without being equal, so a pop can
+                    // take a block larger than the request.
+                    let size = 1 + r % 700;
+                    live.push((sh.alloc(size).unwrap(), size));
+                }
+            }
+            if step % 500 == 499 {
+                // Drop the top half, as a defragmentation pass would.
+                let cut = sh.extent() / 2 / GRANULE * GRANULE;
+                live.retain(|&(addr, size)| {
+                    let keep = addr.offset_from(sh.base()) + SubHeap::rounded_size(size) <= cut;
+                    if !keep {
+                        sh.free(addr, size);
+                    }
+                    keep
+                });
+                sh.truncate_to(cut.min(sh.extent()));
+            }
+            assert_eq!(sh.free_listed_bytes(), fold(&sh), "after step {step}");
+        }
+        assert!(sh.free_listed_bytes() > 0, "the sequence must leave free-listed blocks");
+        for (addr, size) in live.drain(..) {
+            sh.free(addr, size);
+        }
+        sh.reset();
+        assert_eq!((sh.free_listed_bytes(), fold(&sh)), (0, 0));
     }
 
     #[test]

@@ -95,7 +95,6 @@ pub struct AlaskaBuilder {
     service: ServiceChoice,
     handle_faults: bool,
     telemetry: Option<Arc<Telemetry>>,
-    defrag_workers: Option<usize>,
     magazine_size: Option<(usize, usize)>,
 }
 
@@ -113,7 +112,6 @@ impl AlaskaBuilder {
             service: ServiceChoice::Malloc,
             handle_faults: false,
             telemetry: None,
-            defrag_workers: None,
             magazine_size: None,
         }
     }
@@ -155,15 +153,6 @@ impl AlaskaBuilder {
         self
     }
 
-    /// Size the worker pool for the parallel copy phase of Anchorage defrag
-    /// passes (clamped to 1..=64; 1 = serial).  Only the Anchorage service
-    /// runs parallel copies, so this is a no-op for other services.  The
-    /// `ALASKA_DEFRAG_WORKERS` env var overrides this at pass time.
-    pub fn defrag_workers(mut self, workers: usize) -> Self {
-        self.defrag_workers = Some(workers);
-        self
-    }
-
     /// Size the per-thread free-ID magazines: `cap` is the flush threshold,
     /// `refill` the batch reserved from a shard on an empty magazine (see
     /// [`Runtime::set_magazine_sizing`] for clamping).  The
@@ -179,10 +168,7 @@ impl AlaskaBuilder {
         let vm = self.vm.unwrap_or_default();
         let service: Box<dyn Service> = match self.service {
             ServiceChoice::Malloc => Box::new(MallocService::new(vm.clone())),
-            ServiceChoice::Anchorage(mut cfg) => {
-                if self.defrag_workers.is_some() {
-                    cfg.defrag_workers = self.defrag_workers;
-                }
+            ServiceChoice::Anchorage(cfg) => {
                 Box::new(AnchorageService::with_config(vm.clone(), cfg))
             }
             ServiceChoice::Custom(s) => s,
@@ -252,9 +238,10 @@ mod tests {
         let (cap, refill) = rt.magazine_sizing();
         assert_eq!(cap, 2);
         assert!(refill <= cap);
-        // defrag_workers flows into the Anchorage config; the runtime still
+        // The copy pool is sized in the Anchorage config; the runtime still
         // builds and defragments when the pool is configured.
-        let rt = AlaskaBuilder::new().with_anchorage().defrag_workers(2).build();
+        let cfg = AnchorageConfig { defrag_workers: Some(2), ..Default::default() };
+        let rt = AlaskaBuilder::new().with_anchorage_config(cfg).build();
         let h = rt.halloc(64).unwrap();
         rt.write_u64(h, 0, 9);
         rt.defragment(None);

@@ -530,13 +530,13 @@ impl Runtime {
         let (old_addr, old_size) = (e.backing, e.size as usize);
         let mut service = self.service.lock();
         if let Some(new_addr) = service.realloc(id, old_addr, old_size, new_size) {
-            // ID-keyed services (Anchorage) rebind the record and copy the
-            // bytes themselves.
+            // The service (Anchorage) did it all under one hold of its lock:
+            // new block, bytes copied, old block released.
             drop(service);
             self.table.update(id, new_addr, new_size as u32);
             return Ok(value);
         }
-        // Address-keyed services: alloc → copy → free under the same ID.
+        // Services without a `realloc`: alloc → copy → free under the same ID.
         let new_addr = service
             .alloc(new_size, id)
             .ok_or(AlaskaError::OutOfMemory { requested: new_size as u64 })?;

@@ -79,17 +79,22 @@ pub trait Service: Send {
     /// handle `id`.  Returns `None` if the request cannot be satisfied.
     fn alloc(&mut self, size: usize, id: HandleId) -> Option<VirtAddr>;
 
-    /// Release the backing memory of object `id` at `addr` (`size` is the
-    /// originally requested size).
+    /// Release the backing memory of object `id`.  `addr` and `size` (the
+    /// requested size) are read off the handle-table entry the runtime has
+    /// just claimed, so they are authoritative: a service needs no ID-keyed
+    /// record of its own to find the block.
     fn free(&mut self, id: HandleId, addr: VirtAddr, size: usize);
 
     /// Resize object `id` in place of the alloc/copy/free dance: on success
     /// the service has allocated the new block, copied `old_size.min(new_size)`
-    /// bytes from `old_addr`, released the old block, and keeps `id` mapped to
-    /// the returned address.  Services that key bookkeeping by handle ID must
-    /// implement this (a plain `alloc` with a duplicate ID would clobber their
-    /// records); address-keyed services may keep the default, which returns
-    /// `None` and lets the runtime fall back to alloc → copy → free.
+    /// bytes from `old_addr`, released the old block, and returns the new
+    /// address.  `old_addr` and `old_size` come from the object's live
+    /// handle-table entry and are authoritative, as in [`Service::free`].
+    /// Implementing this is optional: the default returns `None` and the
+    /// runtime falls back to alloc → copy → free under the same ID, which a
+    /// service that finds blocks by address handles as it stands.  Only a
+    /// service that also keeps records keyed by handle ID needs its own
+    /// `realloc` (the fallback's `alloc` would meet a duplicate ID).
     fn realloc(
         &mut self,
         _id: HandleId,
