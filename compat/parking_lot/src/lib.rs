@@ -15,9 +15,7 @@
 //!   [`WaitTimeoutResult`].
 //!
 //! Performance characteristics (no spinning, fairness) differ from the real
-//! crate, which is acceptable here: the workspace is a simulation whose
-//! figures are derived from modelled cycles and simulated time, not from lock
-//! throughput.
+//! crate.
 
 #![deny(missing_docs)]
 

@@ -1,27 +1,59 @@
 //! The Anchorage service: a moving, defragmenting backing-memory allocator.
 //!
-//! Allocation policy (paper §4.3): requests go to the *active* sub-heap, first
-//! consulting its power-of-two free list, then bumping.  When the active
-//! sub-heap cannot satisfy a request, a new sub-heap is opened (or an empty one
-//! reused) and becomes active.
+//! Allocation policy (paper §4.3): requests go to the *active* sub-heap of
+//! the calling thread's arena, first consulting its power-of-two free list,
+//! then bumping.  When the active sub-heap cannot satisfy a request, a new
+//! sub-heap is opened (or an empty one reused) and becomes active.
 //!
-//! Defragmentation policy: during a stop-the-world barrier, unpinned objects
-//! are moved from the top of a *source* sub-heap (the most fragmented non-active
-//! one, or the previous active heap when it is the only candidate) into the
-//! destination (active) sub-heap.  Each move copies the object's bytes and
-//! updates a single handle-table entry.  The vacated top of the source is then
-//! returned to the kernel with `MADV_DONTNEED`, so RSS drops as soon as the
-//! pause ends.  A `budget` bounds how many bytes may be copied per pause
-//! (partial defragmentation, amortized across pauses by the control
-//! algorithm).
+//! # Arenas
+//!
+//! The service is a fixed array of **arenas**, each one a complete allocator
+//! state — its sub-heaps, which of them is active, the address-ordered index
+//! of its live blocks, its statistics — behind its own lock.  The count comes
+//! from `available_parallelism` ([`arena_count`]), as the handle table's shard
+//! count does.
+//!
+//! * **Allocation** goes to the arena named by the calling thread's *slot*: a
+//!   number the service hands the thread on its first allocation (0, 1, 2, …
+//!   in order of arrival, kept in a thread-local).  Threads that allocate at
+//!   the same time therefore take different locks and bump different
+//!   sub-heaps.  The first thread gets slot 0: a single-threaded program only
+//!   ever uses arena 0, whose first sub-heap is reserved at construction; the
+//!   other arenas reserve theirs on their first allocation.
+//! * **`free`, `realloc`, `usable_size`** name a block by address, and the
+//!   block may be another thread's.  The owning arena comes from the
+//!   **address → arena table** (`Owners`): one row per sub-heap ever
+//!   reserved, in base-address order, appended under a lock of its own and
+//!   read with a binary search that takes no lock and writes nothing shared.
+//!   A `realloc` whose block lives in another arena allocates in the caller's
+//!   arena, copies, then releases in the owner's — one arena lock at a time.
+//! * **[`AnchorageConfig::max_heap_bytes`]** bounds the reservations of all
+//!   arenas together, through one shared total.  A thread whose arena cannot
+//!   grow under it is served from another arena that still has room.
+//! * A mutator holds at most one arena lock, takes no other lock of the
+//!   runtime under it and never polls a safepoint while holding it; a pass
+//!   takes all of them, in index order.
+//!
+//! # Defragmentation
+//!
+//! During a stop-the-world barrier, unpinned objects are moved from the top
+//! of a *source* sub-heap into the active sub-heap of the same arena.  A pass
+//! evacuates **one source**: the most fragmented non-active sub-heap across
+//! all arenas, or — when there is none — the active sub-heap of the arena
+//! whose active sub-heap is the most fragmented, which is first rotated out.
+//! Each move copies the object's bytes and updates a single handle-table
+//! entry.  The vacated top of the source is then returned to the kernel with
+//! `MADV_DONTNEED`, so RSS drops as soon as the pause ends.  A `budget` bounds
+//! how many bytes may be copied per pause (partial defragmentation, amortized
+//! across pauses by the control algorithm).
 //!
 //! A pass runs in three phases, all under the pause:
 //!
-//! 1. **Plan** — pick the source, walk its address range of the *index*
-//!    (the one address-ordered map of live blocks, see
-//!    [`AnchorageService`]) top-down until the budget is filled, reserve
-//!    every destination range up front, and coalesce moves whose source
-//!    *and* destination blocks are adjacent into batched copy ranges.
+//! 1. **Plan** — pick the source, walk its address range of the arena's
+//!    *index* (the one address-ordered map of live blocks, see `Arena`)
+//!    top-down until the budget is filled, reserve every destination range
+//!    up front, and coalesce moves whose source *and* destination blocks are
+//!    adjacent into batched copy ranges.
 //! 2. **Copy** — execute the disjoint batches on a `std::thread::scope`
 //!    worker pool ([`StoppedWorld::move_batch`]); worker count comes from
 //!    `ALASKA_DEFRAG_WORKERS`, [`AnchorageConfig::defrag_workers`] or
@@ -37,18 +69,39 @@ use alaska_heap::{align_up, AllocStats};
 use alaska_runtime::handle::HandleId;
 use alaska_runtime::service::{DefragOutcome, PlannedMove, Service, ServiceContext, StoppedWorld};
 use alaska_telemetry::{Counter, Event, Gauge, Histogram, Telemetry, TelemetrySink};
+use std::cell::RefCell;
 use std::collections::{btree_map::Entry, BTreeMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Default capacity of a single sub-heap.
 pub const DEFAULT_SUBHEAP_CAPACITY: u64 = 64 * 1024 * 1024;
 
+/// Fewest arenas a service has: a few more threads than cores still get an
+/// arena each (one that is never used reserves nothing).
+const MIN_ARENAS: usize = 4;
+/// Most arenas a service has; beyond this the arena locks are no longer what
+/// allocating threads wait for.
+const MAX_ARENAS: usize = 64;
+
+/// Arena count derived from the machine: `available_parallelism`, rounded up
+/// to a power of two (a slot is mapped to its arena with a mask), clamped to
+/// `[4, 64]`.
+pub fn arena_count() -> usize {
+    std::thread::available_parallelism()
+        .map_or(MIN_ARENAS, |n| n.get())
+        .next_power_of_two()
+        .clamp(MIN_ARENAS, MAX_ARENAS)
+}
+
 /// Metric names published by Anchorage (stable, used by harnesses and tests).
 pub mod names {
-    /// Gauge of sub-heaps currently reserved.
+    /// Gauge of sub-heaps currently reserved, over all arenas.
     pub const SUBHEAPS: &str = "anchorage_subheaps";
-    /// Gauge of the index of the active (allocation target) sub-heap.
+    /// Gauge of the sub-heap most recently made an allocation target (by an
+    /// open, an empty-reuse or a rotation in any arena), as its position in
+    /// the order the service reserved its sub-heaps.
     pub const ACTIVE_SUBHEAP: &str = "anchorage_active_subheap";
     /// Counter of bytes ever returned to the kernel with `MADV_DONTNEED`.
     pub const RELEASED_BYTES: &str = "anchorage_released_bytes";
@@ -86,11 +139,11 @@ pub struct AnchorageConfig {
     /// Fragmentation ratio of the active sub-heap above which a defrag pass
     /// will rotate to a fresh destination even if no other source exists.
     pub rotate_threshold: f64,
-    /// Ceiling on the total address space reserved across all sub-heaps.
-    /// When reserving one more sub-heap would exceed it, allocation fails
-    /// (`alloc` returns `None`) instead of growing, and the runtime's
-    /// pressure-recovery path (shed + defragment + retry) takes over.
-    /// `None` (the default) means unbounded.
+    /// Ceiling on the total address space reserved across all sub-heaps of
+    /// all arenas.  When reserving one more sub-heap would exceed it,
+    /// allocation fails (`alloc` returns `None`) instead of growing, and the
+    /// runtime's pressure-recovery path (shed + defragment + retry) takes
+    /// over.  `None` (the default) means unbounded.
     pub max_heap_bytes: Option<u64>,
     /// Worker threads for the parallel copy phase of a defrag pass.  `None`
     /// (the default) sizes the pool from `available_parallelism`; the
@@ -110,74 +163,189 @@ impl Default for AnchorageConfig {
     }
 }
 
-/// The Anchorage defragmenting allocator service.
-pub struct AnchorageService {
-    vm: VirtualMemory,
-    config: AnchorageConfig,
-    /// In increasing base-address order (`vm.map` hands out increasing
-    /// bases and sub-heaps are never removed), so the sub-heap owning an
-    /// address is found by binary search.
-    subheaps: Vec<SubHeap>,
-    active: usize,
-    /// The only record of live objects: block address → (owning handle,
-    /// requested size).  The occupied size is [`SubHeap::rounded_size`] of
-    /// the requested one, the owning sub-heap follows from the address, and
-    /// ID → address is the handle table's job — the runtime passes the
-    /// address back on `free`/`realloc`.  One sub-heap's objects are one
-    /// contiguous key range, which is what a defrag pass walks.
-    index: BTreeMap<u64, (HandleId, u32)>,
-    stats: AllocStats,
-    /// Total bytes ever released back to the kernel by defragmentation.
-    pub total_released: u64,
-    telemetry: Option<AnchorageTelemetry>,
+/// One row of the address → arena table: a sub-heap's reservation and whose
+/// it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Owner {
+    base: u64,
+    end: u64,
+    /// Index of the owning arena.
+    arena: usize,
+    /// Index of the sub-heap in that arena's `subheaps`.
+    local: usize,
 }
 
-impl AnchorageService {
-    /// Create an Anchorage service allocating from `vm` with default
-    /// configuration.
-    pub fn new(vm: VirtualMemory) -> Self {
-        Self::with_config(vm, AnchorageConfig::default())
-    }
+/// Rows in the first chunk of [`Owners`]; each further chunk doubles.
+const FIRST_CHUNK: usize = 64;
+/// Chunks of [`Owners`]: room for `64 * (2^26 - 1)` sub-heaps.
+const CHUNKS: usize = 26;
 
-    /// Create an Anchorage service with an explicit configuration.
-    pub fn with_config(vm: VirtualMemory, config: AnchorageConfig) -> Self {
-        let first = SubHeap::new(0, &vm, config.subheap_capacity);
-        AnchorageService {
-            vm,
-            config,
-            subheaps: vec![first],
-            active: 0,
-            index: BTreeMap::new(),
-            stats: AllocStats::default(),
-            total_released: 0,
-            telemetry: None,
+/// The address → arena table: one [`Owner`] row per sub-heap the service ever
+/// reserved (sub-heaps are never unmapped), in increasing base order.
+///
+/// Rows are appended under `append` and never change; chunks of rows are
+/// allocated on demand and never move.  A reader loads `len` (`Acquire`, paired
+/// with the appender's `Release` store after the row is written) and searches
+/// the rows below it: no lock, and no write to anything shared.
+struct Owners {
+    /// Chunk `k` holds `FIRST_CHUNK << k` rows, starting at row
+    /// `FIRST_CHUNK * (2^k - 1)`.
+    chunks: [OnceLock<Box<[OnceLock<Owner>]>>; CHUNKS],
+    len: AtomicUsize,
+    /// Held from `vm.map` to the append: the VM hands out increasing bases,
+    /// and rows must be appended in that order.
+    append: Mutex<()>,
+}
+
+impl Owners {
+    fn new() -> Self {
+        Owners {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
+            append: Mutex::new(()),
         }
     }
 
-    /// Number of sub-heaps currently reserved.
-    pub fn subheap_count(&self) -> usize {
-        self.subheaps.len()
+    /// Chunk and offset within it of row `i`.
+    fn locate(i: usize) -> (usize, usize) {
+        let k = (i / FIRST_CHUNK + 1).ilog2() as usize;
+        (k, i - FIRST_CHUNK * ((1 << k) - 1))
     }
 
-    /// Index of the active (allocation target) sub-heap.
-    pub fn active_subheap(&self) -> usize {
-        self.active
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
     }
 
-    /// The combined used extent of all sub-heaps.
-    pub fn heap_extent(&self) -> u64 {
+    /// Row `i`, for `i` below a value read from [`Owners::len`].
+    fn row(&self, i: usize) -> Owner {
+        let (k, offset) = Self::locate(i);
+        let row = self.chunks[k].get().and_then(|chunk| chunk[offset].get());
+        *row.expect("a row below `len` has been written")
+    }
+
+    /// The row of the sub-heap whose reservation holds `addr`.
+    fn find(&self, addr: VirtAddr) -> Option<Owner> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.row(mid).base <= addr.0 {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let row = self.row(lo.checked_sub(1)?);
+        (addr.0 < row.end).then_some(row)
+    }
+
+    /// Reserve a sub-heap of `capacity` bytes — the `local`-th of arena
+    /// `arena` — and append its row.
+    fn reserve(&self, vm: &VirtualMemory, capacity: u64, arena: usize, local: usize) -> SubHeap {
+        let _in_base_order = self.append.lock().expect("no panic between map and append");
+        let id = self.len.load(Ordering::Relaxed);
+        let heap = SubHeap::new(id, vm, capacity);
+        let (k, offset) = Self::locate(id);
+        let chunk =
+            self.chunks[k].get_or_init(|| (0..FIRST_CHUNK << k).map(|_| OnceLock::new()).collect());
+        let base = heap.base().0;
+        chunk[offset]
+            .set(Owner { base, end: base + capacity, arena, local })
+            .expect("a row is written once");
+        self.len.store(id + 1, Ordering::Release);
+        heap
+    }
+}
+
+/// What the arenas of one service share.
+struct Shared {
+    vm: VirtualMemory,
+    config: AnchorageConfig,
+    owners: Owners,
+    /// Address space reserved by all arenas together, which
+    /// [`AnchorageConfig::max_heap_bytes`] bounds.
+    reserved: AtomicU64,
+    /// Total bytes ever released back to the kernel.
+    released: AtomicU64,
+    telemetry: OnceLock<AnchorageTelemetry>,
+}
+
+impl Shared {
+    /// Publish that `heap` was opened (or reused empty) as its arena's
+    /// allocation target to the hub, if any.
+    fn note_subheap_open(&self, heap: &SubHeap) {
+        if let Some(tel) = self.telemetry.get() {
+            tel.hub.emit(Event::SubheapOpen { index: heap.id as u64, capacity: heap.capacity() });
+            tel.subheaps.set_u64(self.owners.len() as u64);
+            tel.active.set_u64(heap.id as u64);
+        }
+    }
+
+    /// Publish an active-sub-heap rotation (defrag changed the destination).
+    fn note_rotate(&self, from: &SubHeap, to: &SubHeap) {
+        if let Some(tel) = self.telemetry.get() {
+            tel.hub.emit(Event::SubheapRotate { from: from.id as u64, to: to.id as u64 });
+            tel.active.set_u64(to.id as u64);
+        }
+    }
+
+    /// Account `bytes` returned to the kernel.
+    fn note_released(&self, bytes: u64) {
+        self.released.fetch_add(bytes, Ordering::Relaxed);
+        if let Some(tel) = self.telemetry.get() {
+            tel.released.add(bytes);
+        }
+    }
+
+    /// Effective copy-phase worker count for one pass: the
+    /// `ALASKA_DEFRAG_WORKERS` env var, then [`AnchorageConfig::defrag_workers`],
+    /// then `available_parallelism`, clamped to 1..=64.  Read per pass — the
+    /// pause path is cold — so tests and CI can force it with the env var.
+    fn effective_defrag_workers(&self) -> usize {
+        std::env::var("ALASKA_DEFRAG_WORKERS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .or(self.config.defrag_workers)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .clamp(1, 64)
+    }
+}
+
+/// One arena: a complete allocator state, behind its own lock in
+/// [`AnchorageService`].  See the [module documentation](self).
+struct Arena {
+    /// Position in the service's array, written into the table rows of the
+    /// sub-heaps this arena reserves.
+    idx: usize,
+    /// In increasing base-address order (`vm.map` hands out increasing
+    /// bases and sub-heaps are never removed).  Empty until the arena's
+    /// first allocation, except in arena 0.
+    subheaps: Vec<SubHeap>,
+    active: usize,
+    /// The only record of this arena's live objects: block address → (owning
+    /// handle, requested size).  The occupied size is
+    /// [`SubHeap::rounded_size`] of the requested one, the owning sub-heap
+    /// follows from the address, and ID → address is the handle table's job —
+    /// the runtime passes the address back on `free`/`realloc`.  One
+    /// sub-heap's objects are one contiguous key range, which is what a
+    /// defrag pass walks.
+    index: BTreeMap<u64, (HandleId, u32)>,
+    stats: AllocStats,
+}
+
+impl Arena {
+    fn new(idx: usize) -> Self {
+        Arena {
+            idx,
+            subheaps: Vec::new(),
+            active: 0,
+            index: BTreeMap::new(),
+            stats: AllocStats::default(),
+        }
+    }
+
+    /// The combined used extent of this arena's sub-heaps.
+    fn heap_extent(&self) -> u64 {
         self.subheaps.iter().map(|s| s.extent()).sum()
-    }
-
-    /// Total address space reserved across all sub-heaps, in bytes.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.subheaps.iter().map(|s| s.capacity()).sum()
-    }
-
-    /// Recompute `stats.heap_extent` from scratch — used as a backstop at the
-    /// end of a defragmentation pass, where many sub-heaps change at once.
-    fn recompute_extent(&mut self) {
-        self.stats.heap_extent = self.heap_extent();
     }
 
     /// Run a mutation against sub-heap `idx`, folding its extent change into
@@ -195,24 +363,17 @@ impl AnchorageService {
     }
 
     /// Reserve a fresh sub-heap of `capacity` bytes and make it the active
-    /// one, unless that would exceed the configured
+    /// one, unless that would take the service past the configured
     /// [`AnchorageConfig::max_heap_bytes`] ceiling.
-    fn open_subheap(&mut self, capacity: u64) -> Option<usize> {
-        let limit = self.config.max_heap_bytes.unwrap_or(u64::MAX);
-        if self.reserved_bytes().saturating_add(capacity) > limit {
-            return None;
-        }
+    fn open_subheap(&mut self, cx: &Shared, capacity: u64) -> Option<usize> {
+        let limit = cx.config.max_heap_bytes.unwrap_or(u64::MAX);
+        let within = |reserved: u64| reserved.checked_add(capacity).filter(|&r| r <= limit);
+        cx.reserved.fetch_update(Ordering::Relaxed, Ordering::Relaxed, within).ok()?;
         let idx = self.subheaps.len();
-        self.subheaps.push(SubHeap::new(idx, &self.vm, capacity));
+        self.subheaps.push(cx.owners.reserve(&cx.vm, capacity, self.idx, idx));
         self.active = idx;
-        self.note_subheap_open(idx);
+        cx.note_subheap_open(&self.subheaps[idx]);
         Some(idx)
-    }
-
-    /// Index of the sub-heap whose reservation holds `addr` (the address of
-    /// an indexed block, so there always is one).
-    fn subheap_of(&self, addr: VirtAddr) -> usize {
-        self.subheaps.partition_point(|s| s.base() <= addr) - 1
     }
 
     /// Remove the record at `addr` and return its size — if it is handle
@@ -235,158 +396,44 @@ impl AnchorageService {
     /// Find a sub-heap and carve a block of `size` bytes from it, opening a
     /// fresh sub-heap when the chosen one cannot serve the request after all
     /// (e.g. its free list had only smaller blocks).
-    fn obtain_block(&mut self, size: u64) -> Option<VirtAddr> {
-        let idx = self.pick_subheap(size)?;
+    fn obtain_block(&mut self, cx: &Shared, size: u64) -> Option<VirtAddr> {
+        let idx = self.pick_subheap(cx, size)?;
         if let Some(a) = self.subheap_op(idx, |s| s.alloc(size)) {
             return Some(a);
         }
-        let capacity = self.config.subheap_capacity.max(SubHeap::rounded_size(size));
-        let new_idx = self.open_subheap(capacity)?;
+        let capacity = cx.config.subheap_capacity.max(SubHeap::rounded_size(size));
+        let new_idx = self.open_subheap(cx, capacity)?;
         self.subheap_op(new_idx, |s| s.alloc(size))
-    }
-
-    /// Publish a sub-heap open (or empty-reuse) at `idx` to the hub, if any.
-    fn note_subheap_open(&self, idx: usize) {
-        if let Some(tel) = &self.telemetry {
-            tel.hub.emit(Event::SubheapOpen {
-                index: idx as u64,
-                capacity: self.subheaps[idx].capacity(),
-            });
-            tel.subheaps.set_u64(self.subheaps.len() as u64);
-            tel.active.set_u64(self.active as u64);
-        }
-    }
-
-    /// Publish an active-sub-heap rotation (defrag changed the destination).
-    fn note_rotate(&self, from: usize, to: usize) {
-        if let Some(tel) = &self.telemetry {
-            tel.hub.emit(Event::SubheapRotate { from: from as u64, to: to as u64 });
-            tel.active.set_u64(to as u64);
-        }
     }
 
     /// Find a sub-heap able to serve `size`, preferring the active one, then
     /// any empty sub-heap, then a newly reserved one.  Returns the index.
-    fn pick_subheap(&mut self, size: u64) -> Option<usize> {
+    fn pick_subheap(&mut self, cx: &Shared, size: u64) -> Option<usize> {
         let rounded = SubHeap::rounded_size(size);
-        if self.subheaps[self.active].extent() + rounded <= self.subheaps[self.active].capacity() {
-            return Some(self.active);
-        }
-        // The active heap may still have a usable free-listed block even if its
-        // extent is full; try it first.
-        if self.subheaps[self.active].free_listed_bytes() >= rounded {
-            return Some(self.active);
+        if let Some(active) = self.subheaps.get(self.active) {
+            // The active heap may still have a usable free-listed block even
+            // if its extent is full.
+            if active.extent() + rounded <= active.capacity()
+                || active.free_listed_bytes() >= rounded
+            {
+                return Some(self.active);
+            }
         }
         if let Some(idx) =
             self.subheaps.iter().position(|s| s.live_objects() == 0 && s.capacity() >= rounded)
         {
             self.subheap_op(idx, |s| s.reset());
             self.active = idx;
-            self.note_subheap_open(idx);
+            cx.note_subheap_open(&self.subheaps[idx]);
             return Some(idx);
         }
-        self.open_subheap(self.config.subheap_capacity.max(rounded))
+        // Also this arena's first allocation, when it has no sub-heap yet.
+        self.open_subheap(cx, cx.config.subheap_capacity.max(rounded))
     }
 
-    /// Choose the source sub-heap for a defragmentation pass.
-    fn pick_source(&self) -> Option<usize> {
-        self.subheaps
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| *i != self.active && s.live_objects() > 0 && s.fragmentation() > 1.01)
-            .max_by(|(_, a), (_, b)| {
-                a.fragmentation()
-                    .partial_cmp(&b.fragmentation())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// After objects were moved out of sub-heap `idx`, whose extent was
-    /// `old_extent` when the pass began, shrink it to the highest surviving
-    /// object and return the vacated pages to the kernel.  `old_extent` is
-    /// the caller's because freeing the top victim already lowered the
-    /// cursor past that victim's pages.  The highest survivor comes straight
-    /// off the back of the sub-heap's index range (`O(log n)`).
-    fn trim_and_release(&mut self, idx: usize, old_extent: u64) -> u64 {
-        let base = self.subheaps[idx].base();
-        let top = self.index.range(self.span(idx)).next_back();
-        let max_live_end = top.map_or(0, |(&addr, &(_, size))| {
-            addr - base.0 + SubHeap::rounded_size(u64::from(size))
-        });
-        self.subheaps[idx].truncate_to(max_live_end);
-        let release_from = align_up(max_live_end, self.vm.page_size() as u64);
-        if old_extent <= release_from {
-            return 0;
-        }
-        let released = self.vm.madvise_dontneed(base.add(release_from), old_extent - release_from);
-        self.total_released += released;
-        released
-    }
-
-    /// Effective copy-phase worker count for one pass: the
-    /// `ALASKA_DEFRAG_WORKERS` env var, then [`AnchorageConfig::defrag_workers`],
-    /// then `available_parallelism`, clamped to 1..=64.  Read per pass — the
-    /// pause path is cold — so tests and CI can force it with the env var.
-    fn effective_defrag_workers(&self) -> usize {
-        std::env::var("ALASKA_DEFRAG_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .or(self.config.defrag_workers)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .clamp(1, 64)
-    }
-
-    /// Check the index against the sub-heaps' own counters: within each
-    /// sub-heap's address range no two records overlap, none reaches past the
-    /// used extent, and their count and rounded bytes equal the sub-heap's
-    /// live counts; no record lies outside every sub-heap.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency found.
-    pub fn verify_index(&self) -> Result<(), String> {
-        let mut indexed = 0;
-        for (i, heap) in self.subheaps.iter().enumerate() {
-            let (mut end, mut count, mut bytes) = (heap.base().0, 0u64, 0u64);
-            for (&addr, &(id, size)) in self.index.range(self.span(i)) {
-                if addr < end {
-                    return Err(format!(
-                        "sub-heap {i}: {id:?} at {addr:#x} overlaps its neighbour"
-                    ));
-                }
-                end = addr + SubHeap::rounded_size(u64::from(size));
-                count += 1;
-                bytes += end - addr;
-            }
-            if end > heap.base().0 + heap.extent()
-                || (count, bytes) != (heap.live_objects(), heap.live_bytes())
-            {
-                return Err(format!(
-                    "sub-heap {i}: index holds {count} objects / {bytes} bytes ending at {end:#x}, \
-                     heap counts {} / {} in extent {:#x}",
-                    heap.live_objects(),
-                    heap.live_bytes(),
-                    heap.extent()
-                ));
-            }
-            indexed += count;
-        }
-        if indexed != self.index.len() as u64 {
-            return Err(format!("{} records, {indexed} inside sub-heaps", self.index.len()));
-        }
-        Ok(())
-    }
-}
-
-impl Service for AnchorageService {
-    fn init(&mut self, _ctx: &ServiceContext) {}
-
-    fn deinit(&mut self, _ctx: &ServiceContext) {}
-
-    fn alloc(&mut self, size: usize, id: HandleId) -> Option<VirtAddr> {
+    fn alloc(&mut self, cx: &Shared, size: usize, id: HandleId) -> Option<VirtAddr> {
         let requested = u32::try_from(size).ok()?;
-        let addr = self.obtain_block(size as u64)?;
+        let addr = self.obtain_block(cx, size as u64)?;
         self.index.insert(addr.0, (id, requested));
         self.stats.live_bytes += SubHeap::rounded_size(size as u64);
         self.stats.live_objects += 1;
@@ -395,129 +442,131 @@ impl Service for AnchorageService {
         Some(addr)
     }
 
-    fn free(&mut self, id: HandleId, addr: VirtAddr, _size: usize) {
-        // The block's size is the record's own, so a wrong `_size` cannot
-        // corrupt the free lists.
+    /// Release handle `id`'s block at `addr`, which lies in sub-heap `local`.
+    fn free(&mut self, id: HandleId, addr: VirtAddr, local: usize) {
+        // The block's size is the record's own, so a wrong size from the
+        // caller cannot corrupt the free lists.
         let Some(size) = self.take_record(id, addr) else { return };
         let rounded = SubHeap::rounded_size(u64::from(size));
-        self.subheap_op(self.subheap_of(addr), |s| s.free(addr, rounded));
+        self.subheap_op(local, |s| s.free(addr, rounded));
         self.stats.live_bytes -= rounded;
         self.stats.live_objects -= 1;
         self.stats.total_frees += 1;
     }
 
+    /// Resize handle `id`'s block at `old_addr` (in sub-heap `local`) within
+    /// this arena, under one hold of its lock.
     fn realloc(
         &mut self,
+        cx: &Shared,
         id: HandleId,
         old_addr: VirtAddr,
-        _old_size: usize,
-        new_size: usize,
+        local: usize,
+        requested: u32,
     ) -> Option<VirtAddr> {
-        let requested = u32::try_from(new_size).ok()?;
         let old_size = self.take_record(id, old_addr)?;
         // Destination before the old block is released, so a failed request
         // leaves the object untouched (its record goes back).
-        let Some(dst) = self.obtain_block(new_size as u64) else {
+        let Some(dst) = self.obtain_block(cx, u64::from(requested)) else {
             self.index.insert(old_addr.0, (id, old_size));
             return None;
         };
         self.index.insert(dst.0, (id, requested));
-        self.vm.copy(old_addr, dst, old_size.min(requested) as usize);
+        cx.vm.copy(old_addr, dst, old_size.min(requested) as usize);
         let old_rounded = SubHeap::rounded_size(u64::from(old_size));
-        self.subheap_op(self.subheap_of(old_addr), |s| s.free(old_addr, old_rounded));
-        let rounded = SubHeap::rounded_size(new_size as u64);
+        self.subheap_op(local, |s| s.free(old_addr, old_rounded));
+        let rounded = SubHeap::rounded_size(u64::from(requested));
         self.stats.live_bytes = self.stats.live_bytes - old_rounded + rounded;
-        self.stats.total_allocated += new_size as u64;
+        self.stats.total_allocated += u64::from(requested);
         self.stats.total_allocations += 1;
         self.stats.total_frees += 1;
         Some(dst)
     }
 
-    fn usable_size(&self, addr: VirtAddr) -> Option<usize> {
-        self.index.get(&addr.0).map(|&(_, size)| size as usize)
-    }
-
-    fn heap_stats(&self) -> AllocStats {
-        self.stats
-    }
-
-    fn fragmentation(&self) -> f64 {
-        alaska_heap::fragmentation_ratio(self.heap_extent(), self.stats.live_bytes)
-    }
-
-    fn shed_memory(&mut self) -> u64 {
-        // Non-active sub-heaps that hold no live objects still pin their
-        // touched pages; return them to the kernel and reset the bump state so
-        // the space is reusable without re-reserving.
+    /// Return the pages of non-active sub-heaps that hold no live objects to
+    /// the kernel and reset their bump state, so the space is reusable
+    /// without re-reserving.
+    fn shed(&mut self, cx: &Shared) -> u64 {
         let mut shed = 0u64;
         for idx in 0..self.subheaps.len() {
-            if idx == self.active {
+            let heap = &self.subheaps[idx];
+            if idx == self.active || heap.live_objects() != 0 || heap.extent() == 0 {
                 continue;
             }
-            if self.subheaps[idx].live_objects() != 0 || self.subheaps[idx].extent() == 0 {
-                continue;
-            }
-            let base = self.subheaps[idx].base();
-            let extent = self.subheaps[idx].extent();
-            shed += self.vm.madvise_dontneed(base, extent);
+            shed += cx.vm.madvise_dontneed(heap.base(), heap.extent());
             self.subheap_op(idx, |s| s.reset());
-        }
-        self.total_released += shed;
-        if let Some(tel) = &self.telemetry {
-            tel.released.add(shed);
         }
         shed
     }
 
-    fn defragment(
-        &mut self,
-        world: &mut StoppedWorld<'_>,
-        budget_bytes: Option<u64>,
-    ) -> DefragOutcome {
-        let mut outcome = DefragOutcome::default();
-        let budget = budget_bytes.unwrap_or(u64::MAX);
-        let plan_start = Instant::now();
+    /// This arena's candidate source for a pass and its fragmentation: its
+    /// most fragmented non-active sub-heap.
+    fn pick_source(&self) -> Option<(f64, usize)> {
+        self.subheaps
+            .iter()
+            .enumerate()
+            .filter(|(i, s)| *i != self.active && s.live_objects() > 0 && s.fragmentation() > 1.01)
+            .map(|(i, s)| (s.fragmentation(), i))
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+    }
 
-        // ---- Plan: pick a source; if the only fragmented heap is the active
-        // one, rotate the active heap so it becomes a valid source.
-        let source = match self.pick_source() {
-            Some(s) => s,
-            None => {
-                let active_frag = self.subheaps[self.active].fragmentation();
-                if active_frag > self.config.rotate_threshold
-                    && self.subheaps[self.active].live_objects() > 0
-                    && !faultline::fire!("subheap.rotate")
-                {
-                    let old_active = self.active;
-                    // Rotate: find or create an empty destination.
-                    if let Some(idx) = self
-                        .subheaps
-                        .iter()
-                        .position(|s| s.live_objects() == 0 && s.id != old_active)
-                    {
-                        self.subheap_op(idx, |s| s.reset());
-                        self.active = idx;
-                    } else if self.open_subheap(self.config.subheap_capacity).is_none() {
-                        // Under the heap ceiling there is no room for a
-                        // fresh destination; shed the pass instead.
-                        outcome.plan_ns = plan_start.elapsed().as_nanos() as u64;
-                        return outcome;
-                    }
-                    self.note_rotate(old_active, self.active);
-                    old_active
-                } else {
-                    outcome.plan_ns = plan_start.elapsed().as_nanos() as u64;
-                    return outcome;
-                }
-            }
-        };
+    /// Fragmentation of the active sub-heap, if it holds objects: what a pass
+    /// that found no other source may rotate out and evacuate.
+    fn active_fragmentation(&self) -> Option<f64> {
+        let active = self.subheaps.get(self.active)?;
+        (active.live_objects() > 0).then(|| active.fragmentation())
+    }
 
-        // A plan fault sheds the pass before any destination is reserved.
-        if faultline::fire!("defrag.plan") {
-            outcome.plan_ns = plan_start.elapsed().as_nanos() as u64;
-            return outcome;
+    /// Turn the active sub-heap (which holds objects) into a source: an empty
+    /// sub-heap, found or newly reserved, becomes the active one.  Returns
+    /// the old active index; `None` when the heap ceiling leaves no room for
+    /// a fresh destination.
+    fn rotate(&mut self, cx: &Shared) -> Option<usize> {
+        let old_active = self.active;
+        if let Some(idx) = self.subheaps.iter().position(|s| s.live_objects() == 0) {
+            self.subheap_op(idx, |s| s.reset());
+            self.active = idx;
+        } else {
+            self.open_subheap(cx, cx.config.subheap_capacity)?;
         }
+        cx.note_rotate(&self.subheaps[old_active], &self.subheaps[self.active]);
+        Some(old_active)
+    }
 
+    /// After objects were moved out of sub-heap `idx`, whose extent was
+    /// `old_extent` when the pass began, shrink it to the highest surviving
+    /// object and return the vacated pages to the kernel.  `old_extent` is
+    /// the caller's because freeing the top victim already lowered the
+    /// cursor past that victim's pages.  The highest survivor comes straight
+    /// off the back of the sub-heap's index range (`O(log n)`).
+    fn trim_and_release(&mut self, cx: &Shared, idx: usize, old_extent: u64) -> u64 {
+        let base = self.subheaps[idx].base();
+        let top = self.index.range(self.span(idx)).next_back();
+        let max_live_end = top.map_or(0, |(&addr, &(_, size))| {
+            addr - base.0 + SubHeap::rounded_size(u64::from(size))
+        });
+        self.subheaps[idx].truncate_to(max_live_end);
+        let release_from = align_up(max_live_end, cx.vm.page_size() as u64);
+        if old_extent <= release_from {
+            return 0;
+        }
+        let released = cx.vm.madvise_dontneed(base.add(release_from), old_extent - release_from);
+        cx.note_released(released);
+        released
+    }
+
+    /// Evacuate sub-heap `source` into this arena's other sub-heaps: the rest
+    /// of the plan phase, the copy and the commit of a pass, added to
+    /// `outcome`.  The world is stopped and every arena lock is held.
+    fn evacuate(
+        &mut self,
+        cx: &Shared,
+        world: &StoppedWorld<'_>,
+        source: usize,
+        budget: u64,
+        plan_start: Instant,
+        outcome: &mut DefragOutcome,
+    ) {
         // Select victims top-down from the source's range of the index, so
         // the extent can be truncated afterwards and the budget keeps bounding
         // bytes copied per pause.
@@ -542,7 +591,7 @@ impl Service for AnchorageService {
         for (src, id, size) in victims {
             // Destination space comes from the normal allocation path (but
             // never from the source itself).
-            let dst_idx = match self.pick_subheap(size) {
+            let dst_idx = match self.pick_subheap(cx, size) {
                 Some(i) if i != source => i,
                 _ => continue,
             };
@@ -574,9 +623,8 @@ impl Service for AnchorageService {
         // the pool size and the plan warrant it.  A `defrag.copy` fault defers
         // that batch to the initiating thread (degrade, don't abort the pause).
         let copy_start = Instant::now();
-        let world_ref: &StoppedWorld<'_> = world;
         let batch_count = batches.len();
-        let workers = self.effective_defrag_workers().min(batch_count);
+        let workers = cx.effective_defrag_workers().min(batch_count);
         let deferred: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let failed: Mutex<Vec<HandleId>> = Mutex::new(Vec::new());
         let batches_ref = &batches;
@@ -589,7 +637,7 @@ impl Service for AnchorageService {
                 return;
             }
             let (s, e) = batches_ref[bi];
-            let applied = world_ref.move_batch(&moves_ref[s..e]);
+            let applied = world.move_batch(&moves_ref[s..e]);
             if !applied.failed.is_empty() {
                 failed_ref.lock().expect("defrag failed list").extend(applied.failed);
             }
@@ -622,7 +670,7 @@ impl Service for AnchorageService {
         outcome.batches_degraded = deferred.len() as u64;
         for bi in deferred {
             let (s, e) = batches[bi];
-            let applied = world_ref.move_batch(&moves[s..e]);
+            let applied = world.move_batch(&moves[s..e]);
             failed.lock().expect("defrag failed list").extend(applied.failed);
         }
         let failed: HashSet<HandleId> =
@@ -638,8 +686,8 @@ impl Service for AnchorageService {
             if failed.contains(&mv.id) {
                 // Could not move after all (defensive; nothing can free an
                 // entry under the pause): give the destination block back.
-                let dst_idx = self.subheap_of(mv.dst);
-                self.subheaps[dst_idx].free(mv.dst, mv.len);
+                let dst = cx.owners.find(mv.dst).expect("a destination lies in a sub-heap");
+                self.subheaps[dst.local].free(mv.dst, mv.len);
                 continue;
             }
             // The object now lives in the destination.
@@ -652,22 +700,357 @@ impl Service for AnchorageService {
         // A commit fault sheds the release step (the moved objects are already
         // safely repointed; only the RSS reclaim is deferred to a later pass).
         if !faultline::fire!("defrag.commit") {
-            outcome.bytes_released = self.trim_and_release(source, source_extent);
+            outcome.bytes_released = self.trim_and_release(cx, source, source_extent);
         }
-        self.recompute_extent();
-        debug_assert_eq!(self.verify_index(), Ok(()));
+        // Many sub-heaps changed at once, by raw sub-heap calls: resum.
+        self.stats.heap_extent = self.heap_extent();
+        debug_assert_eq!(self.verify(cx), Ok(()));
         outcome.commit_ns = commit_start.elapsed().as_nanos() as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.released.add(outcome.bytes_released);
-            tel.subheaps.set_u64(self.subheaps.len() as u64);
+        if let Some(tel) = cx.telemetry.get() {
+            tel.subheaps.set_u64(cx.owners.len() as u64);
             for &(s, e) in &batches {
                 tel.batch_objects.record((e - s) as u64);
             }
         }
+    }
+
+    /// Check the index against the sub-heaps' own counters — within each
+    /// sub-heap's address range no two records overlap, none reaches past the
+    /// used extent, and their count and rounded bytes equal the sub-heap's
+    /// live counts; no record lies outside every sub-heap — and each sub-heap
+    /// against its row of the address → arena table.
+    fn verify(&self, cx: &Shared) -> Result<(), String> {
+        let arena = self.idx;
+        let mut indexed = 0;
+        for (i, heap) in self.subheaps.iter().enumerate() {
+            let base = heap.base().0;
+            let row = Owner { base, end: base + heap.capacity(), arena, local: i };
+            let found = cx.owners.find(heap.base());
+            if found != Some(row) {
+                return Err(format!(
+                    "arena {arena} sub-heap {i}: the table has {found:?} for its base, not {row:?}"
+                ));
+            }
+            let (mut end, mut count, mut bytes) = (base, 0u64, 0u64);
+            for (&addr, &(id, size)) in self.index.range(self.span(i)) {
+                if addr < end {
+                    return Err(format!(
+                        "arena {arena} sub-heap {i}: {id:?} at {addr:#x} overlaps its neighbour"
+                    ));
+                }
+                end = addr + SubHeap::rounded_size(u64::from(size));
+                count += 1;
+                bytes += end - addr;
+            }
+            if end > base + heap.extent()
+                || (count, bytes) != (heap.live_objects(), heap.live_bytes())
+            {
+                return Err(format!(
+                    "arena {arena} sub-heap {i}: index holds {count} objects / {bytes} bytes \
+                     ending at {end:#x}, heap counts {} / {} in extent {:#x}",
+                    heap.live_objects(),
+                    heap.live_bytes(),
+                    heap.extent()
+                ));
+            }
+            indexed += count;
+        }
+        if indexed != self.index.len() as u64 {
+            return Err(format!(
+                "arena {arena}: {} records, {indexed} inside its sub-heaps",
+                self.index.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// An arena behind its lock, padded to cache lines of its own: packed, one
+/// arena's statistics would share a line with the next one's lock word.
+#[repr(align(128))]
+struct ArenaSlot(Mutex<Arena>);
+
+static NEXT_SERVICE_ID: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The services this thread has allocated from and the slot each gave it,
+    /// most recent first.
+    static SLOTS: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Services a thread remembers its slot of.  One it has forgotten (it has
+/// allocated from eight others since) hands it a new slot.
+const SLOTS_KEPT: usize = 8;
+
+/// The Anchorage defragmenting allocator service.
+pub struct AnchorageService {
+    /// Names this service in the threads' [`SLOTS`].
+    id: usize,
+    shared: Shared,
+    arenas: Box<[ArenaSlot]>,
+    /// The slot the next thread to allocate for the first time gets.
+    next_slot: AtomicUsize,
+}
+
+impl AnchorageService {
+    /// Create an Anchorage service allocating from `vm` with default
+    /// configuration.
+    pub fn new(vm: VirtualMemory) -> Self {
+        Self::with_config(vm, AnchorageConfig::default())
+    }
+
+    /// Create an Anchorage service with an explicit configuration.
+    pub fn with_config(vm: VirtualMemory, config: AnchorageConfig) -> Self {
+        let shared = Shared {
+            vm,
+            config,
+            owners: Owners::new(),
+            reserved: AtomicU64::new(config.subheap_capacity),
+            released: AtomicU64::new(0),
+            telemetry: OnceLock::new(),
+        };
+        // Arena 0 has its first sub-heap from the start, whatever the ceiling.
+        let mut first = Arena::new(0);
+        first.subheaps.push(shared.owners.reserve(&shared.vm, config.subheap_capacity, 0, 0));
+        let arenas = std::iter::once(first)
+            .chain((1..arena_count()).map(Arena::new))
+            .map(|arena| ArenaSlot(Mutex::new(arena)))
+            .collect();
+        AnchorageService {
+            id: NEXT_SERVICE_ID.fetch_add(1, Ordering::Relaxed),
+            shared,
+            arenas,
+            next_slot: AtomicUsize::new(0),
+        }
+    }
+
+    fn arena(&self, idx: usize) -> MutexGuard<'_, Arena> {
+        self.arenas[idx].0.lock().expect("no panic under an arena lock")
+    }
+
+    /// Index of the arena the calling thread allocates from.
+    fn home(&self) -> usize {
+        let slot = SLOTS.with(|slots| {
+            let mut slots = slots.borrow_mut();
+            match slots.first() {
+                Some(&(service, slot)) if service == self.id => slot,
+                _ => self.find_slot(&mut slots),
+            }
+        });
+        slot & (self.arenas.len() - 1)
+    }
+
+    /// Off the allocation fast path: this service is not the one the thread
+    /// allocated from last.  Move its entry to the front, or make one with
+    /// the next slot.
+    #[cold]
+    fn find_slot(&self, slots: &mut Vec<(usize, usize)>) -> usize {
+        let entry = match slots.iter().position(|&(service, _)| service == self.id) {
+            Some(at) => slots.remove(at),
+            None => {
+                slots.truncate(SLOTS_KEPT - 1);
+                (self.id, self.next_slot.fetch_add(1, Ordering::Relaxed))
+            }
+        };
+        slots.insert(0, entry);
+        entry.1
+    }
+
+    /// The arenas a thread may have allocated from: slots are handed out in
+    /// order, so these are the first `next_slot`.  Arena 0 always counts (its
+    /// first sub-heap exists from the start).
+    fn used_arenas(&self) -> impl Iterator<Item = MutexGuard<'_, Arena>> {
+        let used = self.next_slot.load(Ordering::Relaxed).clamp(1, self.arenas.len());
+        (0..used).map(|idx| self.arena(idx))
+    }
+
+    /// Off the allocation fast path: arena `home` cannot serve the request,
+    /// which means that under the heap ceiling it cannot reserve another
+    /// sub-heap.  The ceiling is on all arenas together, so room another
+    /// arena still has is this caller's to use.
+    #[cold]
+    fn alloc_elsewhere(&self, home: usize, size: usize, id: HandleId) -> Option<VirtAddr> {
+        self.used_arenas()
+            .filter(|arena| arena.idx != home)
+            .find_map(|mut arena| arena.alloc(&self.shared, size, id))
+    }
+
+    /// Number of arenas (fixed at construction, see [`arena_count`]).
+    pub fn arena_count(&self) -> usize {
+        self.arenas.len()
+    }
+
+    /// Index of the arena whose sub-heap holds `addr`, if any does.
+    pub fn arena_of(&self, addr: VirtAddr) -> Option<usize> {
+        self.shared.owners.find(addr).map(|owner| owner.arena)
+    }
+
+    /// Number of sub-heaps currently reserved, over all arenas.
+    pub fn subheap_count(&self) -> usize {
+        self.shared.owners.len()
+    }
+
+    /// The combined used extent of all sub-heaps.
+    pub fn heap_extent(&self) -> u64 {
+        self.used_arenas().map(|arena| arena.heap_extent()).sum()
+    }
+
+    /// Total address space reserved across all sub-heaps, in bytes.
+    pub fn reserved_bytes(&self) -> u64 {
+        self.shared.reserved.load(Ordering::Relaxed)
+    }
+
+    /// Total bytes ever released back to the kernel, by defragmentation and
+    /// by shedding.
+    pub fn total_released(&self) -> u64 {
+        self.shared.released.load(Ordering::Relaxed)
+    }
+
+    /// Check every arena's index against its sub-heaps' own counters — within
+    /// each sub-heap's address range no two records overlap, none reaches
+    /// past the used extent, and their count and rounded bytes equal the
+    /// sub-heap's live counts; no record lies outside every sub-heap — and
+    /// the address → arena table against the arenas' sub-heaps: every
+    /// sub-heap has its row, every row its sub-heap, and no two rows overlap.
+    /// Takes one arena lock at a time; the table check needs no sub-heap to
+    /// be opened meanwhile.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency found.
+    pub fn verify_index(&self) -> Result<(), String> {
+        let mut subheaps = 0;
+        for idx in 0..self.arenas.len() {
+            let arena = self.arena(idx);
+            arena.verify(&self.shared)?;
+            subheaps += arena.subheaps.len();
+        }
+        let owners = &self.shared.owners;
+        if subheaps != owners.len() {
+            return Err(format!("{} table rows for {subheaps} sub-heaps", owners.len()));
+        }
+        for i in 1..owners.len() {
+            let (below, row) = (owners.row(i - 1), owners.row(i));
+            if below.end > row.base {
+                return Err(format!(
+                    "table rows {below:?} and {row:?} overlap or are out of order"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Service for AnchorageService {
+    fn init(&mut self, _ctx: &ServiceContext) {}
+
+    fn deinit(&mut self, _ctx: &ServiceContext) {}
+
+    fn alloc(&self, size: usize, id: HandleId) -> Option<VirtAddr> {
+        let home = self.home();
+        // Its own statement: the lock is dropped before another is taken.
+        let block = self.arena(home).alloc(&self.shared, size, id);
+        block.or_else(|| self.alloc_elsewhere(home, size, id))
+    }
+
+    fn free(&self, id: HandleId, addr: VirtAddr, _size: usize) {
+        if let Some(owner) = self.shared.owners.find(addr) {
+            self.arena(owner.arena).free(id, addr, owner.local);
+        }
+    }
+
+    fn realloc(
+        &self,
+        id: HandleId,
+        old_addr: VirtAddr,
+        _old_size: usize,
+        new_size: usize,
+    ) -> Option<VirtAddr> {
+        let requested = u32::try_from(new_size).ok()?;
+        let owner = self.shared.owners.find(old_addr)?;
+        let home = self.home();
+        if home == owner.arena {
+            return self.arena(home).realloc(&self.shared, id, old_addr, owner.local, requested);
+        }
+        // The block is in another thread's arena.  Allocate here, copy,
+        // release there: one arena lock at a time, and nothing is changed
+        // unless the record there is this handle's and the new block was had.
+        let old_size = self.arena(owner.arena).index.get(&old_addr.0).filter(|r| r.0 == id)?.1;
+        let dst = self.arena(home).alloc(&self.shared, new_size, id)?;
+        self.shared.vm.copy(old_addr, dst, old_size.min(requested) as usize);
+        self.arena(owner.arena).free(id, old_addr, owner.local);
+        Some(dst)
+    }
+
+    fn usable_size(&self, addr: VirtAddr) -> Option<usize> {
+        let owner = self.shared.owners.find(addr)?;
+        self.arena(owner.arena).index.get(&addr.0).map(|&(_, size)| size as usize)
+    }
+
+    fn heap_stats(&self) -> AllocStats {
+        self.used_arenas().fold(AllocStats::default(), |sum, arena| AllocStats {
+            live_bytes: sum.live_bytes + arena.stats.live_bytes,
+            live_objects: sum.live_objects + arena.stats.live_objects,
+            total_allocated: sum.total_allocated + arena.stats.total_allocated,
+            total_allocations: sum.total_allocations + arena.stats.total_allocations,
+            total_frees: sum.total_frees + arena.stats.total_frees,
+            heap_extent: sum.heap_extent.wrapping_add(arena.stats.heap_extent),
+        })
+    }
+
+    fn fragmentation(&self) -> f64 {
+        let (extent, live) = self.used_arenas().fold((0, 0), |(extent, live), arena| {
+            (extent + arena.heap_extent(), live + arena.stats.live_bytes)
+        });
+        alaska_heap::fragmentation_ratio(extent, live)
+    }
+
+    fn shed_memory(&self) -> u64 {
+        // One arena at a time: this runs outside any barrier, beside mutators.
+        let shed = self.used_arenas().map(|mut arena| arena.shed(&self.shared)).sum();
+        self.shared.note_released(shed);
+        shed
+    }
+
+    fn defragment(&self, world: &mut StoppedWorld<'_>, budget_bytes: Option<u64>) -> DefragOutcome {
+        let mut outcome = DefragOutcome::default();
+        let plan_start = Instant::now();
+        // Every arena lock, in index order: the pass compares all arenas, and
+        // callers the barrier does not stop (see `Service`) must stay out.
+        let mut arenas: Vec<MutexGuard<'_, Arena>> =
+            (0..self.arenas.len()).map(|idx| self.arena(idx)).collect();
+
+        // ---- Plan: pick the one source of this pass; if the only fragmented
+        // sub-heaps are active ones, rotate the worst of them so it becomes a
+        // valid source.
+        let candidate = arenas
+            .iter()
+            .filter_map(|arena| arena.pick_source().map(|(frag, source)| (frag, arena.idx, source)))
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, arena, source)| (arena, source));
+        let picked = candidate.or_else(|| {
+            let (frag, arena) = arenas
+                .iter()
+                .filter_map(|arena| arena.active_fragmentation().map(|frag| (frag, arena.idx)))
+                .max_by(|a, b| a.0.total_cmp(&b.0))?;
+            if frag <= self.shared.config.rotate_threshold || faultline::fire!("subheap.rotate") {
+                return None;
+            }
+            // `None` under the heap ceiling: no room for a fresh
+            // destination, shed the pass instead.
+            arenas[arena].rotate(&self.shared).map(|source| (arena, source))
+        });
+        // A plan fault sheds the pass before any destination is reserved.
+        let Some((arena, source)) = picked.filter(|_| !faultline::fire!("defrag.plan")) else {
+            outcome.plan_ns = plan_start.elapsed().as_nanos() as u64;
+            return outcome;
+        };
+        let budget = budget_bytes.unwrap_or(u64::MAX);
+        arenas[arena].evacuate(&self.shared, world, source, budget, plan_start, &mut outcome);
         outcome
     }
 
-    fn attach_telemetry(&mut self, telemetry: &Arc<Telemetry>) {
+    fn attach_telemetry(&self, telemetry: &Arc<Telemetry>) {
         let registry = telemetry.registry();
         let tel = AnchorageTelemetry {
             subheaps: registry.gauge(names::SUBHEAPS),
@@ -677,10 +1060,12 @@ impl Service for AnchorageService {
             hub: Arc::clone(telemetry),
         };
         // Seed the gauges so the registry is meaningful before any event fires.
-        tel.subheaps.set_u64(self.subheaps.len() as u64);
-        tel.active.set_u64(self.active as u64);
-        tel.released.store(self.total_released);
-        self.telemetry = Some(tel);
+        tel.subheaps.set_u64(self.subheap_count() as u64);
+        let first = self.arena(0);
+        tel.active.set_u64(first.subheaps[first.active].id as u64);
+        tel.released.store(self.total_released());
+        // A second hub is ignored, as the runtime ignores it.
+        let _ = self.shared.telemetry.set(tel);
     }
 
     fn name(&self) -> &'static str {
@@ -701,7 +1086,7 @@ mod tests {
     #[test]
     fn allocations_come_from_the_active_subheap() {
         let vm = VirtualMemory::default();
-        let mut svc = AnchorageService::new(vm);
+        let svc = AnchorageService::new(vm);
         let a = svc.alloc(100, HandleId(0)).unwrap();
         let b = svc.alloc(100, HandleId(1)).unwrap();
         assert_eq!(svc.subheap_count(), 1);
@@ -713,7 +1098,7 @@ mod tests {
     fn exhausting_a_subheap_opens_a_new_one() {
         let vm = VirtualMemory::default();
         let cfg = AnchorageConfig { subheap_capacity: 4096, ..Default::default() };
-        let mut svc = AnchorageService::with_config(vm, cfg);
+        let svc = AnchorageService::with_config(vm, cfg);
         for i in 0..10 {
             svc.alloc(1024, HandleId(i)).unwrap();
         }
@@ -722,9 +1107,42 @@ mod tests {
     }
 
     #[test]
+    fn the_address_table_finds_every_subheap_as_it_grows_chunk_by_chunk() {
+        for (i, at) in [(0, (0, 0)), (63, (0, 63)), (64, (1, 0)), (191, (1, 127)), (192, (2, 0))] {
+            assert_eq!(Owners::locate(i), at, "row {i}");
+        }
+        let vm = VirtualMemory::default();
+        let cfg = AnchorageConfig { subheap_capacity: 4096, ..Default::default() };
+        let svc = AnchorageService::with_config(vm, cfg);
+        // Four blocks fill a sub-heap: 1 200 blocks reserve 300 of them, which
+        // is rows in three chunks of the table.
+        let addrs: Vec<VirtAddr> =
+            (0..1200).map(|i| svc.alloc(1024, HandleId(i)).unwrap()).collect();
+        assert_eq!(svc.subheap_count(), 300);
+        svc.verify_index().unwrap();
+        for (i, &addr) in addrs.iter().enumerate() {
+            let owner = svc.shared.owners.find(addr.add(1023)).expect("inside a sub-heap");
+            assert_eq!((owner.arena, owner.local), (0, i / 4));
+            assert_eq!(svc.usable_size(addr), Some(1024));
+        }
+        // Guard pages and everything below and above the sub-heaps are nobody's.
+        let last = svc.shared.owners.row(299);
+        for outside in
+            [VirtAddr(0), VirtAddr(svc.shared.owners.row(0).base - 1), VirtAddr(last.end)]
+        {
+            assert_eq!(svc.arena_of(outside), None, "{outside:?}");
+        }
+        for (i, &addr) in addrs.iter().enumerate() {
+            svc.free(HandleId(i as u32), addr, 1024);
+        }
+        assert_eq!(svc.heap_stats().live_objects, 0);
+        svc.verify_index().unwrap();
+    }
+
+    #[test]
     fn free_reuses_space_via_power_of_two_bins() {
         let vm = VirtualMemory::default();
-        let mut svc = AnchorageService::new(vm);
+        let svc = AnchorageService::new(vm);
         let a = svc.alloc(300, HandleId(0)).unwrap();
         svc.free(HandleId(0), a, 300);
         let b = svc.alloc(300, HandleId(1)).unwrap();
@@ -816,16 +1234,17 @@ mod tests {
     fn free_and_realloc_of_a_block_that_is_not_the_handles_change_nothing() {
         let vm = VirtualMemory::default();
         let cfg = AnchorageConfig { subheap_capacity: 4096, ..Default::default() };
-        let mut svc = AnchorageService::with_config(vm, cfg);
+        let svc = AnchorageService::with_config(vm, cfg);
         let addrs: Vec<VirtAddr> = (0..8).map(|i| svc.alloc(600, HandleId(i)).unwrap()).collect();
         svc.free(HandleId(1), addrs[1], 600);
         let snapshot = |svc: &AnchorageService| {
-            let heaps: Vec<_> = svc
+            let arena = svc.arena(0);
+            let heaps: Vec<_> = arena
                 .subheaps
                 .iter()
                 .map(|s| (s.extent(), s.live_objects(), s.live_bytes(), s.free_listed_bytes()))
                 .collect();
-            (svc.heap_stats(), svc.heap_extent(), heaps, svc.index.clone())
+            (arena.stats, arena.heap_extent(), heaps, arena.index.clone())
         };
         let before = snapshot(&svc);
         // No record at the address: freed, inside a block, outside every sub-heap.
@@ -990,7 +1409,7 @@ mod tests {
     fn extent_stat_stays_exact_without_recomputation() {
         let vm = VirtualMemory::default();
         let cfg = AnchorageConfig { subheap_capacity: 4096, ..Default::default() };
-        let mut svc = AnchorageService::with_config(vm, cfg);
+        let svc = AnchorageService::with_config(vm, cfg);
         let addrs: Vec<VirtAddr> = (0..50).map(|i| svc.alloc(700, HandleId(i)).unwrap()).collect();
         for i in (0..50).step_by(2) {
             svc.free(HandleId(i as u32), addrs[i], 700);
@@ -1013,7 +1432,7 @@ mod tests {
             max_heap_bytes: Some(8192),
             ..Default::default()
         };
-        let mut svc = AnchorageService::with_config(vm, cfg);
+        let svc = AnchorageService::with_config(vm, cfg);
         let mut ok = 0u64;
         for i in 0..64 {
             if svc.alloc(1024, HandleId(i)).is_some() {
@@ -1028,10 +1447,40 @@ mod tests {
     }
 
     #[test]
+    fn under_the_ceiling_a_full_arena_borrows_room_from_another() {
+        let vm = VirtualMemory::default();
+        let cfg = AnchorageConfig {
+            subheap_capacity: 4096,
+            max_heap_bytes: Some(8192),
+            ..Default::default()
+        };
+        let svc = AnchorageService::with_config(vm, cfg);
+        // This thread is the first to allocate: arena 0, one block of four.
+        let mine = svc.alloc(1024, HandleId(0)).unwrap();
+        assert_eq!(svc.arena_of(mine), Some(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // The second thread's arena reserves the last sub-heap the
+                // ceiling allows and fills it ...
+                let own: Vec<_> = (1..5).map(|i| svc.alloc(1024, HandleId(i)).unwrap()).collect();
+                assert!(own.iter().all(|&a| svc.arena_of(a) == Some(1)));
+                assert_eq!(svc.reserved_bytes(), 8192);
+                // ... and then gets what arena 0 has left, and no more.
+                let lent: Vec<_> = (5..8).map(|i| svc.alloc(1024, HandleId(i)).unwrap()).collect();
+                assert!(lent.iter().all(|&a| svc.arena_of(a) == Some(0)));
+                assert_eq!(svc.alloc(1024, HandleId(8)), None);
+                svc.free(HandleId(5), lent[0], 1024);
+            });
+        });
+        assert_eq!(svc.heap_stats().live_objects, 7);
+        svc.verify_index().unwrap();
+    }
+
+    #[test]
     fn shed_memory_releases_empty_inactive_subheaps() {
         let vm = VirtualMemory::default();
         let cfg = AnchorageConfig { subheap_capacity: 16384, ..Default::default() };
-        let mut svc = AnchorageService::with_config(vm.clone(), cfg);
+        let svc = AnchorageService::with_config(vm.clone(), cfg);
         // Fill sub-heap 0 with page-sized objects so a second sub-heap opens
         // and becomes active, touching every page so whole resident pages are
         // left behind for shedding.
@@ -1054,7 +1503,7 @@ mod tests {
             svc.heap_extent(),
             "extent stat stays exact across shedding"
         );
-        assert!(svc.total_released >= shed);
+        assert!(svc.total_released() >= shed);
     }
 
     #[test]
@@ -1089,7 +1538,7 @@ mod tests {
     fn resident_index_stays_consistent_across_lifecycle_and_moves() {
         let vm = VirtualMemory::default();
         let cfg = AnchorageConfig { subheap_capacity: 64 * 1024, ..Default::default() };
-        let mut svc = AnchorageService::with_config(vm.clone(), cfg);
+        let svc = AnchorageService::with_config(vm.clone(), cfg);
         // Alloc across several sub-heaps, free a fragmenting pattern, realloc
         // some survivors: the index must agree with the sub-heaps' counters
         // after every step.

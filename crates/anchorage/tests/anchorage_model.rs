@@ -4,62 +4,18 @@
 //! this is what stands in for comparing one copy of the bookkeeping with
 //! another: every fact the service reports is compared with the model.
 
+mod common;
+
 use alaska_anchorage::service::{AnchorageConfig, AnchorageService};
 use alaska_anchorage::subheap::SubHeap;
 use alaska_heap::vmem::{VirtAddr, VirtualMemory};
-use alaska_heap::AllocStats;
-use alaska_runtime::service::{DefragOutcome, Service, StoppedWorld};
-use alaska_runtime::{AlaskaError, HandleId, Runtime};
+use alaska_runtime::service::Service;
+use alaska_runtime::{AlaskaError, Runtime};
+use common::{pattern, Shared};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The service the runtime owns, shared with the test so that it can look
-/// inside between steps (a `Runtime` only hands out `&mut dyn Service`).
-struct Shared(Arc<Mutex<AnchorageService>>);
-
-impl Shared {
-    fn service(&self) -> MutexGuard<'_, AnchorageService> {
-        self.0.lock().expect("no step panics holding the service")
-    }
-}
-
-impl Service for Shared {
-    fn alloc(&mut self, size: usize, id: HandleId) -> Option<VirtAddr> {
-        self.service().alloc(size, id)
-    }
-    fn free(&mut self, id: HandleId, addr: VirtAddr, size: usize) {
-        self.service().free(id, addr, size)
-    }
-    fn realloc(
-        &mut self,
-        id: HandleId,
-        old: VirtAddr,
-        old_size: usize,
-        new_size: usize,
-    ) -> Option<VirtAddr> {
-        self.service().realloc(id, old, old_size, new_size)
-    }
-    fn usable_size(&self, addr: VirtAddr) -> Option<usize> {
-        self.service().usable_size(addr)
-    }
-    fn heap_stats(&self) -> AllocStats {
-        self.service().heap_stats()
-    }
-    fn fragmentation(&self) -> f64 {
-        self.service().fragmentation()
-    }
-    fn defragment(&mut self, world: &mut StoppedWorld<'_>, budget: Option<u64>) -> DefragOutcome {
-        self.service().defragment(world, budget)
-    }
-    fn shed_memory(&mut self) -> u64 {
-        self.service().shed_memory()
-    }
-    fn name(&self) -> &'static str {
-        "anchorage (shared with the model test)"
-    }
-}
+use std::sync::Arc;
 
 /// Split one random word into the fields an op needs.
 struct Fields(u64);
@@ -72,12 +28,8 @@ impl Fields {
     }
 }
 
-fn pattern(seed: u64, len: usize) -> Vec<u8> {
-    (0..len).map(|i| (seed as u8).wrapping_mul(31).wrapping_add(i as u8) | 1).collect()
-}
-
 /// Everything the runtime and the service report, against the model.
-fn check(rt: &Runtime, service: &Mutex<AnchorageService>, model: &HashMap<u64, Vec<u8>>, at: &str) {
+fn check(rt: &Runtime, service: &AnchorageService, model: &HashMap<u64, Vec<u8>>, at: &str) {
     // (address, requested size) of every live block, as the handle table has it.
     let mut blocks: Vec<(u64, usize)> = Vec::with_capacity(model.len());
     for (&h, bytes) in model {
@@ -92,7 +44,6 @@ fn check(rt: &Runtime, service: &Mutex<AnchorageService>, model: &HashMap<u64, V
     for pair in blocks.windows(2) {
         prop_assert!(end(&pair[0]) <= pair[1].0, "blocks {:x?} overlap {}", pair, at);
     }
-    let service = service.lock().expect("service");
     for &(addr, size) in &blocks {
         prop_assert_eq!(service.usable_size(VirtAddr(addr)), Some(size), "at {:#x} {}", addr, at);
     }
@@ -134,7 +85,7 @@ proptest! {
         let cfg =
             AnchorageConfig { subheap_capacity: capacity, max_heap_bytes, ..Default::default() };
         let vm = VirtualMemory::default();
-        let service = Arc::new(Mutex::new(AnchorageService::with_config(vm.clone(), cfg)));
+        let service = Arc::new(AnchorageService::with_config(vm.clone(), cfg));
         let rt = Runtime::with_vm(vm, Box::new(Shared(Arc::clone(&service))));
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         let mut handles: Vec<u64> = Vec::new(); // the model's keys, in a repeatable order
@@ -238,7 +189,7 @@ proptest! {
         }
         check(&rt, &service, &HashMap::new(), "after freeing everything");
 
-        MOST_SUBHEAPS.fetch_max(service.lock().expect("service").subheap_count() as u64, Relaxed);
+        MOST_SUBHEAPS.fetch_max(service.subheap_count() as u64, Relaxed);
         if CASES_RUN.fetch_add(1, Relaxed) + 1 == u64::from(proptest::CASES) {
             let tally = [
                 &OBJECTS_MOVED, &BYTES_RELEASED, &SKIPPED_PINNED, &BYTES_SHED,

@@ -81,7 +81,9 @@ pub struct ThreadSweepResult {
     pub mix: &'static str,
     /// Operations completed across all threads.
     pub total_ops: u64,
-    /// Wall-clock time of the measured region, in microseconds.
+    /// Wall-clock time of the measured region, in microseconds: from the
+    /// first worker's start to the last worker's end, both read inside the
+    /// workers.
     pub elapsed_us: u64,
     /// Aggregate throughput in million operations per second.
     pub mops: f64,
@@ -129,14 +131,24 @@ impl ToJson for ThreadSweepResult {
     }
 }
 
+/// No operation of either mix takes less than a nanosecond, so no thread
+/// sustains more than this many Mops/s; a result above it is the harness
+/// mistiming, not the runtime being fast.
+const MOPS_CEILING_PER_THREAD: f64 = 1_000.0;
+
 /// Run one sweep configuration and return its throughput and counters.
+///
+/// # Panics
+///
+/// Panics if the throughput it measured is not a finite number below
+/// 1 000 Mops/s per thread (an operation per nanosecond).
 pub fn run_thread_sweep(cfg: &ThreadSweepConfig) -> ThreadSweepResult {
     let rt = Arc::new(AlaskaBuilder::new().with_anchorage().build());
     if let Some((cap, refill)) = cfg.magazine {
         rt.set_magazine_sizing(cap, refill);
     }
     let (magazine_cap, magazine_refill) = rt.magazine_sizing();
-    let start_line = Arc::new(Barrier::new(cfg.threads + 1));
+    let start_line = Arc::new(Barrier::new(cfg.threads));
 
     let mut workers = Vec::new();
     for _ in 0..cfg.threads {
@@ -153,6 +165,11 @@ pub fn run_thread_sweep(cfg: &ThreadSweepConfig) -> ThreadSweepResult {
                 SweepMix::AllocFreeHeavy => Vec::new(),
             };
             start_line.wait();
+            // The clock runs inside the workers: one read by a coordinator
+            // after the barrier starts when the coordinator is next scheduled,
+            // which on a host with fewer cores than threads is after the
+            // workers are done.
+            let started = Instant::now();
             match cfg.mix {
                 SweepMix::TranslateHeavy => {
                     for i in 0..cfg.ops_per_thread {
@@ -182,30 +199,37 @@ pub fn run_thread_sweep(cfg: &ThreadSweepConfig) -> ThreadSweepResult {
                     }
                 }
             }
+            let ended = Instant::now();
+            // Clean-up waits for the slowest worker's measured region.
             start_line.wait();
             for h in handles {
                 rt.hfree(h).unwrap();
             }
+            (started, ended)
         }));
     }
 
-    start_line.wait(); // workers finished their setup
-    let start = Instant::now();
-    start_line.wait(); // workers finished the measured region
-    let elapsed = start.elapsed();
-    for w in workers {
-        w.join().expect("sweep worker panicked");
-    }
+    let spans: Vec<(Instant, Instant)> =
+        workers.into_iter().map(|w| w.join().expect("sweep worker panicked")).collect();
+    let first_start = spans.iter().map(|s| s.0).min().expect("at least one worker");
+    let last_end = spans.iter().map(|s| s.1).max().expect("at least one worker");
+    let elapsed = last_end - first_start;
 
     let snap = rt.stats();
     let total_ops = cfg.ops_per_thread * cfg.threads as u64;
-    let secs = elapsed.as_secs_f64().max(1e-9);
+    let mops = total_ops as f64 / elapsed.as_secs_f64() / 1e6;
+    assert!(
+        mops.is_finite() && mops < MOPS_CEILING_PER_THREAD * cfg.threads as f64,
+        "{} at {} threads: {mops} Mops/s ({total_ops} ops in {elapsed:?}) is not a measurement",
+        cfg.mix.label(),
+        cfg.threads
+    );
     ThreadSweepResult {
         threads: cfg.threads,
         mix: cfg.mix.label(),
         total_ops,
         elapsed_us: elapsed.as_micros() as u64,
-        mops: total_ops as f64 / secs / 1e6,
+        mops,
         shard_lock_contention: snap.shard_lock_contention,
         magazine_refills: snap.magazine_refills,
         magazine_flushes: snap.magazine_flushes,

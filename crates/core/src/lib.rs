@@ -250,30 +250,32 @@ mod tests {
 
     #[test]
     fn custom_service_is_accepted() {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        // A service synchronises itself; for a bump pointer and a byte count
+        // two atomics do.
         struct Bump {
             vm: VirtualMemory,
             base: alaska_heap::vmem::VirtAddr,
-            cursor: u64,
-            live: u64,
+            cursor: AtomicU64,
+            live: AtomicU64,
         }
         impl Service for Bump {
-            fn alloc(&mut self, size: usize, _id: HandleId) -> Option<alaska_heap::vmem::VirtAddr> {
-                let addr = self.base.add(self.cursor);
-                self.cursor += alaska_heap::align_up(size as u64, 16);
-                self.live += size as u64;
+            fn alloc(&self, size: usize, _id: HandleId) -> Option<alaska_heap::vmem::VirtAddr> {
+                let offset = self.cursor.fetch_add(alaska_heap::align_up(size as u64, 16), Relaxed);
+                self.live.fetch_add(size as u64, Relaxed);
                 let _ = &self.vm;
-                Some(addr)
+                Some(self.base.add(offset))
             }
-            fn free(&mut self, _id: HandleId, _addr: alaska_heap::vmem::VirtAddr, size: usize) {
-                self.live -= size as u64;
+            fn free(&self, _id: HandleId, _addr: alaska_heap::vmem::VirtAddr, size: usize) {
+                self.live.fetch_sub(size as u64, Relaxed);
             }
             fn usable_size(&self, _addr: alaska_heap::vmem::VirtAddr) -> Option<usize> {
                 None
             }
             fn heap_stats(&self) -> alaska_heap::AllocStats {
                 alaska_heap::AllocStats {
-                    live_bytes: self.live,
-                    heap_extent: self.cursor,
+                    live_bytes: self.live.load(Relaxed),
+                    heap_extent: self.cursor.load(Relaxed),
                     ..Default::default()
                 }
             }
@@ -285,7 +287,7 @@ mod tests {
         let base = vm.map(1 << 20);
         let rt = AlaskaBuilder::new()
             .with_vm(vm.clone())
-            .with_service(Box::new(Bump { vm, base, cursor: 0, live: 0 }))
+            .with_service(Box::new(Bump { vm, base, cursor: 0.into(), live: 0.into() }))
             .build();
         let h = rt.halloc(64).unwrap();
         rt.write_u64(h, 0, 11);

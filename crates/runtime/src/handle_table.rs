@@ -29,6 +29,10 @@
 //!   [`HandleTable::restock_ids`] let callers (the runtime's per-thread
 //!   magazines) move IDs in and out of a shard in batches, so the common
 //!   `halloc`/`hfree` path takes no shard lock at all.
+//! * **Per-shard live counts.**  Each shard counts its live entries on cache
+//!   lines of its own ([`HandleTable::live_entries`] sums them), so threads
+//!   whose magazines draw from different shards publish and release without
+//!   writing a common word.
 //! * **Lock-free growth.**  Entry storage is a per-shard pyramid of
 //!   `OnceLock`-published segments (shard → slab → segment → `AtomicHte`),
 //!   so readers never observe a reallocation; committed segments are
@@ -291,7 +295,21 @@ struct Shard {
     inner: Mutex<ShardMut>,
     /// Mirror of `inner.bump` readable without the lock (for heap scans).
     bump_hwm: AtomicU32,
+    /// Live (or invalid) entries among this shard's IDs.
+    live: LiveCount,
 }
+
+/// A shard's count of live entries, on cache lines of its own.  Every
+/// `publish` and `release_reserved` writes it, and a thread's magazine draws
+/// from the thread's home shard: one table-wide counter made every
+/// `halloc`/`hfree` of every thread a write to the same line, and a counter
+/// beside `slabs` would evict the line every translation reads.  `publish`
+/// counts before its `Release` store of the word and `release_reserved` after
+/// its `Acquire` claim of it, so whichever thread releases, the count never
+/// runs below zero.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct LiveCount(AtomicU64);
 
 /// The handle table.  See the [module documentation](self) for the
 /// concurrency design; every method takes `&self`.
@@ -304,8 +322,6 @@ pub struct HandleTable {
     capacity: u32,
     /// Entries ever touched (bump allocations across all shards).
     touched: AtomicU64,
-    /// Currently live (or invalid) entries.
-    live: AtomicU64,
     /// Times a mutating path found a shard lock held and had to wait.
     contention: AtomicU64,
 }
@@ -374,6 +390,7 @@ impl HandleTable {
                     slabs: (0..nslabs).map(|_| OnceLock::new()).collect(),
                     inner: Mutex::new(ShardMut::default()),
                     bump_hwm: AtomicU32::new(0),
+                    live: LiveCount::default(),
                 }
             })
             .collect();
@@ -383,7 +400,6 @@ impl HandleTable {
             stride_bits,
             capacity,
             touched: AtomicU64::new(0),
-            live: AtomicU64::new(0),
             contention: AtomicU64::new(0),
         }
     }
@@ -393,9 +409,17 @@ impl HandleTable {
         self.shards.len()
     }
 
-    /// Number of live entries.
+    /// Number of live entries: the per-shard counts, summed.  Exact when no
+    /// `publish`/`release` runs meanwhile; otherwise each shard's term is a
+    /// value its count held during the call.
     pub fn live_entries(&self) -> u64 {
-        self.live.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.live.0.load(Ordering::Relaxed)).sum()
+    }
+
+    /// The count of live entries that covers `id`.
+    #[inline]
+    fn live_count(&self, id: u32) -> &AtomicU64 {
+        &self.shards[(id >> self.stride_bits) as usize].live.0
     }
 
     /// Number of entries ever touched (the bump high-water mark, summed over
@@ -533,8 +557,8 @@ impl HandleTable {
             "publish of an occupied HTE"
         );
         e.size.store(size, Ordering::Relaxed);
+        self.live_count(id.0).fetch_add(1, Ordering::Relaxed);
         e.word.store(pack(backing, STATE_LIVE), Ordering::Release);
-        self.live.fetch_add(1, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -589,7 +613,7 @@ impl HandleTable {
                 }
             })?;
         let size = e.size.load(Ordering::Relaxed);
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        self.live_count(id.0).fetch_sub(1, Ordering::Relaxed);
         Ok(Hte { backing: word_addr(old), size, state: decode_state(word_state(old)) })
     }
 
@@ -787,14 +811,14 @@ impl HandleTable {
     ///   and occupied);
     /// * bumped entries have committed storage.
     ///
-    /// Globally: occupied (`Live`/`Invalid`) entries must equal the `live`
-    /// counter and the summed bump cursors must equal `touched`.  Those two
-    /// checks require quiescence — no concurrent `publish`/`release` (e.g.
-    /// mutator threads parked, or the caller owns all outstanding handles);
-    /// the per-shard checks are valid under any concurrency.
+    /// A shard's occupied (`Live`/`Invalid`) entries must equal its live
+    /// count, and globally the summed bump cursors must equal `touched`.
+    /// Those two checks require quiescence — no concurrent
+    /// `publish`/`release` (e.g. mutator threads parked, or the caller owns
+    /// all outstanding handles); the other checks are valid under any
+    /// concurrency.
     pub fn verify_invariants(&self) -> Result<(), String> {
         let _all = self.lock_all();
-        let mut occupied_total = 0u64;
         let mut bump_total = 0u64;
         for (s, shard) in self.shards.iter().enumerate() {
             // Read shard state through the guards already held by `_all`
@@ -832,21 +856,23 @@ impl HandleTable {
                     ));
                 }
             }
+            let mut occupied = 0u64;
             for local in 0..inner.bump {
                 let id = shard.base + local;
                 let Some(e) = self.entry(id) else {
                     return Err(format!("shard {s}: bumped id {id} has no committed storage"));
                 };
                 if word_occupied(e.word.load(Ordering::Acquire)) {
-                    occupied_total += 1;
+                    occupied += 1;
                 }
             }
-        }
-        let live = self.live.load(Ordering::Acquire);
-        if occupied_total != live {
-            return Err(format!(
-                "occupied entries {occupied_total} != live counter {live} (is the table quiescent?)"
-            ));
+            let live = shard.live.0.load(Ordering::Acquire);
+            if occupied != live {
+                return Err(format!(
+                    "shard {s}: occupied entries {occupied} != live count {live} \
+                     (is the table quiescent?)"
+                ));
+            }
         }
         let touched = self.touched.load(Ordering::Acquire);
         if bump_total != touched {
@@ -1141,6 +1167,52 @@ mod tests {
         }
         assert_eq!(t.live_entries(), 0);
         assert!(t.live_ids().is_empty());
+    }
+
+    #[test]
+    fn live_entries_is_exact_when_entries_are_released_by_another_thread() {
+        use std::sync::mpsc;
+        const THREADS: usize = 4;
+        const PER_THREAD: u64 = 3_000;
+        const KEPT: u64 = 17;
+        let t = HandleTable::with_capacity(1 << 16);
+        // Worker `w` publishes into shard `w` and hands every ID to worker
+        // `w + 1`, which releases all but `KEPT` of them: each shard's count
+        // is raised by one thread and lowered by another, concurrently.
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..THREADS).map(|_| mpsc::channel::<HandleId>()).unzip();
+        let peak = std::thread::scope(|scope| {
+            for (w, inbox) in receivers.into_iter().enumerate() {
+                let outbox = senders[(w + 1) % THREADS].clone();
+                let t = &t;
+                scope.spawn(move || {
+                    let mut to_release = PER_THREAD - KEPT;
+                    for i in 0..PER_THREAD {
+                        let id = t.allocate_with_hint(VirtAddr(0x1000 + i), 8, w).unwrap();
+                        assert_eq!(id.0 >> t.stride_bits, w as u32, "hint {w} names the shard");
+                        outbox.send(id).unwrap();
+                        if to_release > 0 {
+                            if let Ok(theirs) = inbox.try_recv() {
+                                t.release(theirs);
+                                to_release -= 1;
+                            }
+                        }
+                    }
+                    drop(outbox);
+                    for theirs in inbox.iter().take(to_release as usize) {
+                        t.release(theirs);
+                    }
+                });
+            }
+            drop(senders);
+            // Meanwhile the sum never exceeds what was published: no shard's
+            // count wraps below zero.
+            (0..2_000).map(|_| t.live_entries()).max().unwrap()
+        });
+        assert!(peak <= THREADS as u64 * PER_THREAD, "a count ran negative: {peak}");
+        assert_eq!(t.live_entries(), THREADS as u64 * KEPT);
+        assert_eq!(t.live_ids().len() as u64, THREADS as u64 * KEPT);
+        t.verify_invariants().unwrap();
     }
 
     proptest! {

@@ -11,21 +11,24 @@ use crate::service::{Service, ServiceContext};
 use alaska_heap::freelist::FreeListAllocator;
 use alaska_heap::vmem::{VirtAddr, VirtualMemory};
 use alaska_heap::{AllocStats, BackingAllocator};
+use parking_lot::{Mutex, MutexGuard};
 
-/// Service adapter around [`FreeListAllocator`].  Never moves objects.
+/// Service adapter around [`FreeListAllocator`].  Never moves objects.  The
+/// free list is one structure, so one mutex guards it: like the `malloc` it
+/// stands in for, it serialises allocating threads.
 pub struct MallocService {
-    alloc: FreeListAllocator,
+    alloc: Mutex<FreeListAllocator>,
 }
 
 impl MallocService {
     /// Create a malloc-backed service allocating from `vm`.
     pub fn new(vm: VirtualMemory) -> Self {
-        MallocService { alloc: FreeListAllocator::new(vm) }
+        MallocService { alloc: Mutex::new(FreeListAllocator::new(vm)) }
     }
 
-    /// Access the underlying allocator (for tests and diagnostics).
-    pub fn allocator(&self) -> &FreeListAllocator {
-        &self.alloc
+    /// Lock and access the underlying allocator (for tests and diagnostics).
+    pub fn allocator(&self) -> MutexGuard<'_, FreeListAllocator> {
+        self.alloc.lock()
     }
 }
 
@@ -34,20 +37,20 @@ impl Service for MallocService {
 
     fn deinit(&mut self, _ctx: &ServiceContext) {}
 
-    fn alloc(&mut self, size: usize, _id: HandleId) -> Option<VirtAddr> {
-        BackingAllocator::alloc(&mut self.alloc, size)
+    fn alloc(&self, size: usize, _id: HandleId) -> Option<VirtAddr> {
+        self.alloc.lock().alloc(size)
     }
 
-    fn free(&mut self, _id: HandleId, addr: VirtAddr, _size: usize) {
-        BackingAllocator::free(&mut self.alloc, addr);
+    fn free(&self, _id: HandleId, addr: VirtAddr, _size: usize) {
+        self.alloc.lock().free(addr);
     }
 
     fn usable_size(&self, addr: VirtAddr) -> Option<usize> {
-        self.alloc.size_of(addr)
+        self.alloc.lock().size_of(addr)
     }
 
     fn heap_stats(&self) -> AllocStats {
-        self.alloc.stats()
+        self.alloc.lock().stats()
     }
 
     fn name(&self) -> &'static str {
@@ -62,7 +65,7 @@ mod tests {
     #[test]
     fn allocates_and_frees_through_the_freelist() {
         let vm = VirtualMemory::shared(4096);
-        let mut s = MallocService::new(vm);
+        let s = MallocService::new(vm);
         let a = s.alloc(100, HandleId(0)).unwrap();
         assert_eq!(s.usable_size(a), Some(100));
         assert_eq!(s.heap_stats().live_objects, 1);
@@ -79,7 +82,7 @@ mod tests {
         use std::collections::HashSet;
 
         let vm = VirtualMemory::shared(4096);
-        let mut s = MallocService::new(vm.clone());
+        let s = MallocService::new(vm.clone());
         let a = s.alloc(64, HandleId(0)).unwrap();
         let table = HandleTable::new();
         let id = table.allocate(a, 64).unwrap();

@@ -33,8 +33,11 @@
 //!   [`Runtime::stats`] is called), handle IDs from its **magazine**
 //!   ([`ThreadCtx::magazine`]), refilled/flushed through one shard in batches.
 //!
-//! Only the backing-memory [`Service`] remains a single mutex — its
-//! allocations are orders of magnitude rarer than translations.
+//! The allocation path takes no runtime lock either: the backing-memory
+//! [`Service`] is called through `&self` and synchronises itself (Anchorage
+//! with one lock per arena, an arena per allocating thread), and the handle
+//! table counts live entries per shard.  What `halloc`/`hfree` of two threads
+//! still share is whatever the service shares.
 
 use crate::barrier::BarrierController;
 use crate::error::{AlaskaError, Result};
@@ -88,7 +91,7 @@ pub struct Runtime {
     id: usize,
     vm: VirtualMemory,
     table: HandleTable,
-    service: Mutex<Box<dyn Service>>,
+    service: Box<dyn Service>,
     threads: ThreadRegistry,
     barrier: BarrierController,
     /// Serializes stop-the-world initiators: the pressure-recovery path can
@@ -200,7 +203,7 @@ impl Runtime {
             id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
             vm,
             table: HandleTable::new(),
-            service: Mutex::new(service),
+            service,
             threads: ThreadRegistry::default(),
             barrier: BarrierController::new(),
             pause_lock: Mutex::new(()),
@@ -259,7 +262,7 @@ impl Runtime {
     pub fn install_telemetry(&self, hub: Arc<Telemetry>) -> bool {
         let installed = self.telemetry.set(RuntimeTelemetry::new(hub.clone())).is_ok();
         if installed {
-            self.service.lock().attach_telemetry(&hub);
+            self.service.attach_telemetry(&hub);
         }
         installed
     }
@@ -421,7 +424,7 @@ impl Runtime {
             if faultline::fire!("halloc.publish") {
                 // Injected failure between backing allocation and publish: unwind
                 // both halves so neither the block nor the ID leaks.
-                self.service.lock().free(id, addr, size);
+                self.service.free(id, addr, size);
                 self.release_id(t, id);
                 return Err(AlaskaError::OutOfMemory { requested: size as u64 });
             }
@@ -435,7 +438,7 @@ impl Runtime {
     /// loop when it refuses.
     fn backing_alloc(&self, size: usize, id: HandleId) -> Option<VirtAddr> {
         if !faultline::fire!("halloc.backing.oom") {
-            if let Some(addr) = self.service.lock().alloc(size, id) {
+            if let Some(addr) = self.service.alloc(size, id) {
                 return Some(addr);
             }
         }
@@ -444,18 +447,20 @@ impl Runtime {
 
     /// Graceful OOM degradation: before the application sees an allocation
     /// failure, shed cheap memory, defragment, and retry with exponential
-    /// backoff.  The service lock is never held across the defrag barrier.
+    /// backoff.  Nothing is held between the steps: each service call takes
+    /// and drops the service's own locks, so the defrag barrier in the middle
+    /// starts with none of them held by this thread.
     #[cold]
     fn recover_from_alloc_pressure(&self, size: usize, id: HandleId) -> Option<VirtAddr> {
         let mut backoff = Duration::from_micros(100);
         for attempt in 1..=3u64 {
             RuntimeStats::bump(&self.stats.alloc_pressure_events);
-            let shed = self.service.lock().shed_memory();
+            let shed = self.service.shed_memory();
             self.defragment(None);
             if let Some(tel) = self.telemetry.get() {
                 tel.record_alloc_pressure(size as u64, shed, attempt);
             }
-            if let Some(addr) = self.service.lock().alloc(size, id) {
+            if let Some(addr) = self.service.alloc(size, id) {
                 RuntimeStats::bump(&self.stats.alloc_pressure_recoveries);
                 return Some(addr);
             }
@@ -495,7 +500,7 @@ impl Runtime {
                 }
                 Err(FreeFault::Dangling) => return Err(AlaskaError::InvalidHandle { value }),
             };
-            self.service.lock().free(id, e.backing, e.size as usize);
+            self.service.free(id, e.backing, e.size as usize);
             self.release_id(t, id);
             ThreadHotStats::bump(&t.hot.hfrees);
             Ok(())
@@ -528,22 +533,24 @@ impl Runtime {
             return Err(AlaskaError::OutOfMemory { requested: new_size as u64 });
         }
         let (old_addr, old_size) = (e.backing, e.size as usize);
-        let mut service = self.service.lock();
-        if let Some(new_addr) = service.realloc(id, old_addr, old_size, new_size) {
-            // The service (Anchorage) did it all under one hold of its lock:
-            // new block, bytes copied, old block released.
-            drop(service);
+        if let Some(new_addr) = self.service.realloc(id, old_addr, old_size, new_size) {
+            // The service (Anchorage) did it all: new block, bytes copied, old
+            // block released — under one hold of an arena's lock when the
+            // block stays in the caller's arena, else one arena lock at a
+            // time.  Nothing else may name this handle's block meanwhile: a
+            // pass needs this thread at a safepoint, and a free or resize of
+            // a handle that is being resized is the application's bug.
             self.table.update(id, new_addr, new_size as u32);
             return Ok(value);
         }
         // Services without a `realloc`: alloc → copy → free under the same ID.
-        let new_addr = service
+        let new_addr = self
+            .service
             .alloc(new_size, id)
             .ok_or(AlaskaError::OutOfMemory { requested: new_size as u64 })?;
-        drop(service);
         self.vm.copy(old_addr, new_addr, old_size.min(new_size));
         self.table.update(id, new_addr, new_size as u32);
-        self.service.lock().free(id, old_addr, old_size);
+        self.service.free(id, old_addr, old_size);
         Ok(value)
     }
 
@@ -833,10 +840,7 @@ impl Runtime {
     /// Stop the world and let the installed service defragment, bounded by
     /// `budget_bytes` of copying (`None` = unbounded).
     pub fn defragment(&self, budget_bytes: Option<u64>) -> DefragOutcome {
-        let outcome = self.with_stopped_world(|world| {
-            let mut service = self.service.lock();
-            service.defragment(world, budget_bytes)
-        });
+        let outcome = self.with_stopped_world(|world| self.service.defragment(world, budget_bytes));
         RuntimeStats::bump(&self.stats.defrag_passes);
         RuntimeStats::add(&self.stats.bytes_released, outcome.bytes_released);
         RuntimeStats::add(&self.stats.defrag_plan_ns, outcome.plan_ns);
@@ -855,11 +859,10 @@ impl Runtime {
         outcome
     }
 
-    /// Run `f` with exclusive access to the installed service (for
-    /// service-specific configuration or inspection).
-    pub fn with_service<R>(&self, f: impl FnOnce(&mut dyn Service) -> R) -> R {
-        let mut service = self.service.lock();
-        f(service.as_mut())
+    /// Run `f` with the installed service (for service-specific operations
+    /// or inspection).  Access is shared: the service synchronises itself.
+    pub fn with_service<R>(&self, f: impl FnOnce(&dyn Service) -> R) -> R {
+        f(self.service.as_ref())
     }
 
     /// Set the barrier watchdog deadline: how long a stop-the-world attempt
@@ -957,17 +960,17 @@ impl Runtime {
 
     /// Statistics of the installed service's heap.
     pub fn service_stats(&self) -> AllocStats {
-        self.service.lock().heap_stats()
+        self.service.heap_stats()
     }
 
     /// Fragmentation ratio reported by the installed service.
     pub fn service_fragmentation(&self) -> f64 {
-        self.service.lock().fragmentation()
+        self.service.fragmentation()
     }
 
     /// Name of the installed service.
     pub fn service_name(&self) -> &'static str {
-        self.service.lock().name()
+        self.service.name()
     }
 
     /// Resident set size of the shared address space.
@@ -979,7 +982,7 @@ impl Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         let ctx = ServiceContext { vm: self.vm.clone() };
-        self.service.lock().deinit(&ctx);
+        self.service.deinit(&ctx);
     }
 }
 #[cfg(test)]

@@ -66,9 +66,18 @@ pub struct DefragOutcome {
 
 /// A backing-memory service plugged into the Alaska runtime.
 ///
-/// Implementations must be `Send`: the runtime may invoke the service from any
-/// registered thread (allocation) or from the barrier initiator (movement).
-pub trait Service: Send {
+/// Implementations must be `Send + Sync`, and every operation after
+/// [`Service::init`] takes `&self`: the runtime calls the service from any
+/// registered thread, from several at once, and holds no lock around the
+/// call.  **A service synchronises itself** — behind one mutex
+/// ([`MallocService`](crate::malloc_service::MallocService)) or a finer
+/// scheme (Anchorage's per-thread arenas).  [`Service::defragment`] runs with
+/// the world stopped, but threads in external code and callers that use the
+/// service without a runtime are not stopped, so it must still take its own
+/// locks.  A service must not call back into the runtime that owns it while
+/// holding one of its locks (no safepoint is ever polled under a service
+/// lock).
+pub trait Service: Send + Sync {
     /// Called once when the service is installed into a runtime.
     fn init(&mut self, _ctx: &ServiceContext) {}
 
@@ -77,13 +86,13 @@ pub trait Service: Send {
 
     /// Provide backing memory for a new object of `size` bytes identified by
     /// handle `id`.  Returns `None` if the request cannot be satisfied.
-    fn alloc(&mut self, size: usize, id: HandleId) -> Option<VirtAddr>;
+    fn alloc(&self, size: usize, id: HandleId) -> Option<VirtAddr>;
 
     /// Release the backing memory of object `id`.  `addr` and `size` (the
     /// requested size) are read off the handle-table entry the runtime has
     /// just claimed, so they are authoritative: a service needs no ID-keyed
     /// record of its own to find the block.
-    fn free(&mut self, id: HandleId, addr: VirtAddr, size: usize);
+    fn free(&self, id: HandleId, addr: VirtAddr, size: usize);
 
     /// Resize object `id` in place of the alloc/copy/free dance: on success
     /// the service has allocated the new block, copied `old_size.min(new_size)`
@@ -96,7 +105,7 @@ pub trait Service: Send {
     /// service that also keeps records keyed by handle ID needs its own
     /// `realloc` (the fallback's `alloc` would meet a duplicate ID).
     fn realloc(
-        &mut self,
+        &self,
         _id: HandleId,
         _old_addr: VirtAddr,
         _old_size: usize,
@@ -123,7 +132,7 @@ pub trait Service: Send {
     /// bounds how many bytes may be copied in this pause (partial
     /// defragmentation); `None` means unbounded.
     fn defragment(
-        &mut self,
+        &self,
         _world: &mut StoppedWorld<'_>,
         _budget_bytes: Option<u64>,
     ) -> DefragOutcome {
@@ -135,7 +144,7 @@ pub trait Service: Send {
     /// sub-heaps, trimmed tails) and return how many bytes were shed.  Runs
     /// outside any barrier, so implementations must only touch memory no live
     /// object occupies.  The default sheds nothing.
-    fn shed_memory(&mut self) -> u64 {
+    fn shed_memory(&self) -> u64 {
         0
     }
 
@@ -143,7 +152,7 @@ pub trait Service: Send {
     /// service may keep the `Arc` and publish its own metrics and events
     /// (Anchorage records sub-heap lifecycle and fragmentation gauges).  The
     /// default keeps nothing: telemetry stays a strictly opt-in concern.
-    fn attach_telemetry(&mut self, _telemetry: &Arc<Telemetry>) {}
+    fn attach_telemetry(&self, _telemetry: &Arc<Telemetry>) {}
 
     /// Service name used in benchmark output.
     fn name(&self) -> &'static str;

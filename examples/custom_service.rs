@@ -10,16 +10,25 @@ use alaska::runtime::handle::HandleId;
 use alaska::runtime::service::{DefragOutcome, Service, ServiceContext, StoppedWorld};
 use alaska::{AlaskaBuilder, HandleId as Id};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 /// A bump allocator that, during barriers, "swaps out" the coldest unpinned
 /// objects by copying them to a spill region and releasing their hot-region
 /// pages.  (A real implementation would write them to disk or far memory —
 /// §7's discussion; the mechanism through the service interface is the same.)
+///
+/// The runtime calls a service through `&self`, from any thread: what changes
+/// after construction sits behind the service's own lock.
 struct ColdSwapper {
     vm: VirtualMemory,
     hot_base: VirtAddr,
-    hot_cursor: u64,
     spill_base: VirtAddr,
+    state: Mutex<SwapState>,
+}
+
+#[derive(Default)]
+struct SwapState {
+    hot_cursor: u64,
     spill_cursor: u64,
     objects: HashMap<HandleId, (VirtAddr, usize)>,
     live: u64,
@@ -30,16 +39,11 @@ impl ColdSwapper {
     fn new(vm: VirtualMemory) -> Self {
         let hot_base = vm.map(64 * 1024 * 1024);
         let spill_base = vm.map(64 * 1024 * 1024);
-        ColdSwapper {
-            vm,
-            hot_base,
-            hot_cursor: 0,
-            spill_base,
-            spill_cursor: 0,
-            objects: HashMap::new(),
-            live: 0,
-            swapped_out: 0,
-        }
+        ColdSwapper { vm, hot_base, spill_base, state: Mutex::default() }
+    }
+
+    fn state(&self) -> MutexGuard<'_, SwapState> {
+        self.state.lock().expect("no panic under the swapper's lock")
     }
 }
 
@@ -47,38 +51,43 @@ impl Service for ColdSwapper {
     fn init(&mut self, _ctx: &ServiceContext) {}
     fn deinit(&mut self, _ctx: &ServiceContext) {}
 
-    fn alloc(&mut self, size: usize, id: HandleId) -> Option<VirtAddr> {
-        let addr = self.hot_base.add(self.hot_cursor);
-        self.hot_cursor += alaska::heap::align_up(size.max(1) as u64, 16);
-        self.objects.insert(id, (addr, size));
-        self.live += size as u64;
+    fn alloc(&self, size: usize, id: HandleId) -> Option<VirtAddr> {
+        let mut state = self.state();
+        let addr = self.hot_base.add(state.hot_cursor);
+        state.hot_cursor += alaska::heap::align_up(size.max(1) as u64, 16);
+        state.objects.insert(id, (addr, size));
+        state.live += size as u64;
         Some(addr)
     }
 
-    fn free(&mut self, id: HandleId, _addr: VirtAddr, size: usize) {
-        self.objects.remove(&id);
-        self.live -= size as u64;
+    fn free(&self, id: HandleId, _addr: VirtAddr, size: usize) {
+        let mut state = self.state();
+        state.objects.remove(&id);
+        state.live -= size as u64;
     }
 
     fn usable_size(&self, addr: VirtAddr) -> Option<usize> {
-        self.objects.values().find(|(a, _)| *a == addr).map(|(_, s)| *s)
+        self.state().objects.values().find(|(a, _)| *a == addr).map(|(_, s)| *s)
     }
 
     fn heap_stats(&self) -> AllocStats {
+        let state = self.state();
         AllocStats {
-            live_bytes: self.live,
-            live_objects: self.objects.len() as u64,
-            heap_extent: self.hot_cursor + self.spill_cursor,
+            live_bytes: state.live,
+            live_objects: state.objects.len() as u64,
+            heap_extent: state.hot_cursor + state.spill_cursor,
             ..Default::default()
         }
     }
 
-    fn defragment(&mut self, world: &mut StoppedWorld<'_>, budget: Option<u64>) -> DefragOutcome {
+    fn defragment(&self, world: &mut StoppedWorld<'_>, budget: Option<u64>) -> DefragOutcome {
         // "Swap out" unpinned objects: move them to the spill region and mark
-        // their handle-table entries invalid so the next access faults.
+        // their handle-table entries invalid so the next access faults.  The
+        // world is stopped, but the lock is still taken: see `Service`.
+        let mut state = self.state();
         let mut outcome = DefragOutcome::default();
         let budget = budget.unwrap_or(u64::MAX);
-        let ids: Vec<HandleId> = self.objects.keys().copied().collect();
+        let ids: Vec<HandleId> = state.objects.keys().copied().collect();
         for id in ids {
             if outcome.bytes_moved >= budget {
                 break;
@@ -87,15 +96,15 @@ impl Service for ColdSwapper {
                 outcome.objects_skipped_pinned += 1;
                 continue;
             }
-            let (addr, size) = self.objects[&id];
-            let dst = self.spill_base.add(self.spill_cursor);
-            self.spill_cursor += alaska::heap::align_up(size.max(1) as u64, 16);
+            let (addr, size) = state.objects[&id];
+            let dst = self.spill_base.add(state.spill_cursor);
+            state.spill_cursor += alaska::heap::align_up(size.max(1) as u64, 16);
             if world.move_object(id, dst) {
                 world.set_invalid(id, true);
-                self.objects.insert(id, (dst, size));
+                state.objects.insert(id, (dst, size));
                 outcome.objects_moved += 1;
                 outcome.bytes_moved += size as u64;
-                self.swapped_out += 1;
+                state.swapped_out += 1;
                 // Release the hot-region pages the object used to occupy.
                 outcome.bytes_released += self.vm.madvise_dontneed(addr, size as u64);
             }
