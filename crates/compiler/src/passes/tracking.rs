@@ -22,7 +22,6 @@
 use alaska_ir::cfg::Cfg;
 use alaska_ir::liveness::Liveness;
 use alaska_ir::module::{Function, Instruction, Operand, ValueId};
-use std::collections::{HashMap, HashSet};
 
 /// Result of the tracking pass for one function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -33,13 +32,14 @@ pub struct TrackingStats {
     pub frame_slots: u32,
 }
 
-/// Linearized program-point index of each instruction (blocks in RPO).
-fn linearize(f: &Function, cfg: &Cfg) -> HashMap<ValueId, usize> {
-    let mut points = HashMap::new();
+/// Linearized program-point index of each instruction (blocks in RPO),
+/// indexed by [`ValueId`]; 0 for an instruction outside every reachable block.
+fn linearize(f: &Function, cfg: &Cfg) -> Vec<usize> {
+    let mut points = vec![0; f.insts.len()];
     let mut next = 0usize;
     for &bb in &cfg.reverse_post_order {
         for &v in &f.block(bb).insts {
-            points.insert(v, next);
+            points[v.0 as usize] = next;
             next += 1;
         }
         next += 1; // terminator
@@ -47,22 +47,23 @@ fn linearize(f: &Function, cfg: &Cfg) -> HashMap<ValueId, usize> {
     points
 }
 
-/// Values transitively derived from `root` through address arithmetic.
-fn derived_set(f: &Function, root: ValueId) -> HashSet<ValueId> {
-    let mut derived: HashSet<ValueId> = HashSet::new();
-    derived.insert(root);
+/// Values transitively derived from `root` through address arithmetic,
+/// indexed by [`ValueId`].
+fn derived_set(f: &Function, root: ValueId) -> Vec<bool> {
+    let mut derived = vec![false; f.insts.len()];
+    derived[root.0 as usize] = true;
     // Iterate to a fixed point: a gep whose base is derived is derived too.
     let mut changed = true;
     while changed {
         changed = false;
         for bb in f.block_ids() {
             for &v in &f.block(bb).insts {
-                if derived.contains(&v) {
+                if derived[v.0 as usize] {
                     continue;
                 }
                 if let Instruction::Gep { base: Operand::Value(b), .. } = f.inst(v) {
-                    if derived.contains(b) {
-                        derived.insert(v);
+                    if derived[b.0 as usize] {
+                        derived[v.0 as usize] = true;
                         changed = true;
                     }
                 }
@@ -76,9 +77,8 @@ fn derived_set(f: &Function, root: ValueId) -> HashSet<ValueId> {
 /// [`Function::pin_frame_slots`].
 pub fn assign_pin_slots(f: &mut Function) -> TrackingStats {
     let cfg = Cfg::build(f);
-    let liveness = Liveness::build(f, &cfg);
     let points = linearize(f, &cfg);
-    let end_of_function = points.values().copied().max().unwrap_or(0) + 2;
+    let end_of_function = points.iter().copied().max().unwrap_or(0) + 2;
 
     // Collect translations in program order.
     let mut translations: Vec<ValueId> = Vec::new();
@@ -93,73 +93,60 @@ pub fn assign_pin_slots(f: &mut Function) -> TrackingStats {
         f.pin_frame_slots = 0;
         return TrackingStats::default();
     }
+    let liveness = Liveness::build(f, &cfg);
+
+    // Where each value's uses end: one past its last user instruction, or the
+    // end of the function if a terminator uses it.
+    let mut last_use = vec![0usize; f.insts.len()];
+    for bb in f.block_ids() {
+        let block = f.block(bb);
+        for &v in &block.insts {
+            for op in f.inst(v).operands() {
+                if let Operand::Value(u) = op {
+                    last_use[u.0 as usize] = last_use[u.0 as usize].max(points[v.0 as usize] + 1);
+                }
+            }
+        }
+        for op in block.terminator.iter().flat_map(|t| t.operands()) {
+            if let Operand::Value(u) = op {
+                last_use[u.0 as usize] = end_of_function;
+            }
+        }
+    }
 
     // Compute each translation's live range over linearized points.
     let mut ranges: Vec<(ValueId, usize, usize)> = Vec::new();
     for &t in &translations {
-        let start = points[&t];
+        let start = points[t.0 as usize];
         let derived = derived_set(f, t);
         let mut end = start + 1;
-        let mut escapes = false;
-        for bb in f.block_ids() {
-            for &d in &derived {
-                if liveness.is_live_out(bb, d) {
-                    escapes = true;
-                }
+        for d in (0..derived.len()).filter(|&d| derived[d]) {
+            end = end.max(last_use[d]);
+            if f.block_ids().any(|bb| liveness.is_live_out(bb, ValueId(d as u32))) {
+                // Live across a block boundary (e.g. hoisted out of a loop):
+                // keep the pin for the rest of the invocation.
+                end = end_of_function;
+                break;
             }
-            for &v in &f.block(bb).insts {
-                for op in f.inst(v).operands() {
-                    if let Operand::Value(u) = op {
-                        if derived.contains(&u) {
-                            end = end.max(points[&v] + 1);
-                        }
-                    }
-                }
-            }
-            if let Some(term) = &f.block(bb).terminator {
-                for op in term.operands() {
-                    if let Operand::Value(u) = op {
-                        if derived.contains(&u) {
-                            end = end.max(end_of_function);
-                        }
-                    }
-                }
-            }
-        }
-        if escapes {
-            // Live across a block boundary (e.g. hoisted out of a loop): keep
-            // the pin for the rest of the invocation.
-            end = end_of_function;
         }
         ranges.push((t, start, end));
     }
 
-    // Greedy interference colouring in order of definition.
+    // Greedy interference colouring in order of definition; the slot goes
+    // straight back into the translate instruction.
     ranges.sort_by_key(|&(_, start, _)| start);
-    let mut slot_of: HashMap<ValueId, u32> = HashMap::new();
     let mut assigned: Vec<(u32, usize, usize)> = Vec::new(); // (slot, start, end)
     let mut max_slot = 0u32;
     for &(t, start, end) in &ranges {
-        let mut used: HashSet<u32> = HashSet::new();
-        for &(slot, s, e) in &assigned {
-            if start < e && s < end {
-                used.insert(slot);
-            }
-        }
         let mut slot = 0u32;
-        while used.contains(&slot) {
+        while assigned.iter().any(|&(used, s, e)| used == slot && start < e && s < end) {
             slot += 1;
         }
-        slot_of.insert(t, slot);
-        assigned.push((slot, start, end));
-        max_slot = max_slot.max(slot);
-    }
-
-    // Write the slots back into the translate instructions.
-    for (&t, &slot) in &slot_of {
         if let Instruction::Translate { slot: s, .. } = f.inst_mut(t) {
             *s = Some(slot);
         }
+        assigned.push((slot, start, end));
+        max_slot = max_slot.max(slot);
     }
     f.pin_frame_slots = max_slot + 1;
     TrackingStats { translations_tracked: translations.len(), frame_slots: f.pin_frame_slots }

@@ -14,6 +14,13 @@
 //! table and records pins in real pin frames, and `Safepoint` participates in
 //! real barriers.  Baseline `Malloc`/`Free` go to a private non-moving
 //! free-list allocator in the same address space.
+//!
+//! Each activation keeps its SSA values in a register file, a `Vec<u64>`
+//! indexed by [`ValueId`]; a value never written reads as 0.  Instructions are
+//! borrowed from the module, and the φs of a block are resolved together into
+//! one buffer reused for the whole activation, as are the argument lists of
+//! its calls.  So nothing is allocated or hashed per executed instruction; the
+//! cost model does not see any of this.
 
 use crate::module::{
     BasicBlockId, BinOp, CmpOp, Function, Instruction, Module, Operand, Terminator, ValueId,
@@ -23,7 +30,6 @@ use alaska_heap::vmem::VirtAddr;
 use alaska_heap::BackingAllocator;
 use alaska_runtime::handle::is_handle;
 use alaska_runtime::Runtime;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Per-operation cycle costs.
@@ -301,19 +307,22 @@ impl<'a> Interpreter<'a> {
 
     fn exec_function(
         &mut self,
-        f: &Function,
+        f: &'a Function,
         args: &[u64],
         depth: usize,
     ) -> Result<Option<u64>, InterpError> {
-        let mut values: HashMap<ValueId, u64> = HashMap::new();
+        let cost = self.config.cost;
+        let mut values = vec![0u64; f.insts.len()];
+        let mut phis: Vec<(ValueId, u64)> = Vec::new();
+        let mut call_args: Vec<u64> = Vec::new();
         let mut current = f.entry;
         let mut previous: Option<BasicBlockId> = None;
 
-        let eval = |values: &HashMap<ValueId, u64>, op: Operand, args: &[u64]| -> u64 {
+        let eval = |values: &[u64], op: Operand| -> u64 {
             match op {
                 Operand::Const(c) => c as u64,
                 Operand::Param(p) => args.get(p).copied().unwrap_or(0),
-                Operand::Value(v) => values.get(&v).copied().unwrap_or(0),
+                Operand::Value(v) => values.get(v.0 as usize).copied().unwrap_or(0),
             }
         };
 
@@ -322,43 +331,42 @@ impl<'a> Interpreter<'a> {
 
             // Phase 1: resolve all phis of this block simultaneously.
             if let Some(prev) = previous {
-                let mut phi_results: Vec<(ValueId, u64)> = Vec::new();
+                phis.clear();
                 for &v in &block.insts {
                     if let Instruction::Phi { incomings } = f.inst(v) {
                         let val = incomings
                             .iter()
                             .find(|(b, _)| *b == prev)
-                            .map(|(_, op)| eval(&values, *op, args))
+                            .map(|(_, op)| eval(&values, *op))
                             .unwrap_or(0);
-                        phi_results.push((v, val));
-                        self.charge(self.config.cost.phi);
+                        phis.push((v, val));
+                        self.charge(cost.phi);
                     }
                 }
-                for (v, val) in phi_results {
-                    values.insert(v, val);
+                for &(v, val) in &phis {
+                    values[v.0 as usize] = val;
                 }
             }
 
             // Phase 2: straight-line instructions.
             for &v in &block.insts {
-                let inst = f.inst(v).clone();
+                let inst = f.inst(v);
                 if matches!(inst, Instruction::Phi { .. }) {
                     continue;
                 }
                 self.step()?;
-                let cost = self.config.cost;
-                let result: Option<u64> = match &inst {
+                let result: Option<u64> = match inst {
                     Instruction::Phi { .. } => unreachable!(),
                     Instruction::Bin { op, lhs, rhs } => {
                         self.charge(cost.binop);
-                        let a = eval(&values, *lhs, args);
-                        let b = eval(&values, *rhs, args);
+                        let a = eval(&values, *lhs);
+                        let b = eval(&values, *rhs);
                         Some(apply_binop(*op, a, b)?)
                     }
                     Instruction::Cmp { op, lhs, rhs } => {
                         self.charge(cost.cmp);
-                        let a = eval(&values, *lhs, args) as i64;
-                        let b = eval(&values, *rhs, args) as i64;
+                        let a = eval(&values, *lhs) as i64;
+                        let b = eval(&values, *rhs) as i64;
                         let r = match op {
                             CmpOp::Eq => a == b,
                             CmpOp::Ne => a != b,
@@ -371,17 +379,17 @@ impl<'a> Interpreter<'a> {
                     }
                     Instruction::Select { cond, then_value, else_value } => {
                         self.charge(cost.select);
-                        let c = eval(&values, *cond, args);
+                        let c = eval(&values, *cond);
                         Some(if c != 0 {
-                            eval(&values, *then_value, args)
+                            eval(&values, *then_value)
                         } else {
-                            eval(&values, *else_value, args)
+                            eval(&values, *else_value)
                         })
                     }
                     Instruction::Load { addr } => {
                         self.charge(cost.load);
                         self.counts.loads += 1;
-                        let a = eval(&values, *addr, args);
+                        let a = eval(&values, *addr);
                         if is_handle(a) {
                             return Err(InterpError::UntranslatedHandleAccess(a));
                         }
@@ -390,38 +398,38 @@ impl<'a> Interpreter<'a> {
                     Instruction::Store { addr, value } => {
                         self.charge(cost.store);
                         self.counts.stores += 1;
-                        let a = eval(&values, *addr, args);
+                        let a = eval(&values, *addr);
                         if is_handle(a) {
                             return Err(InterpError::UntranslatedHandleAccess(a));
                         }
-                        let val = eval(&values, *value, args);
+                        let val = eval(&values, *value);
                         self.rt.vm().write_u64(VirtAddr(a), val);
                         None
                     }
                     Instruction::Gep { base, index, scale } => {
                         self.charge(cost.gep);
-                        let b = eval(&values, *base, args);
-                        let i = eval(&values, *index, args);
+                        let b = eval(&values, *base);
+                        let i = eval(&values, *index);
                         Some(b.wrapping_add(i.wrapping_mul(*scale)))
                     }
-                    Instruction::Call { callee, args: call_args } => {
+                    Instruction::Call { callee, args: operands } => {
                         self.charge(cost.call);
                         self.counts.calls += 1;
-                        let vals: Vec<u64> =
-                            call_args.iter().map(|a| eval(&values, *a, args)).collect();
-                        self.call(callee, &vals, depth + 1)?
+                        call_args.clear();
+                        call_args.extend(operands.iter().map(|a| eval(&values, *a)));
+                        self.call(callee, &call_args, depth + 1)?
                     }
-                    Instruction::CallExternal { callee, args: call_args } => {
+                    Instruction::CallExternal { callee, args: operands } => {
                         self.charge(cost.external_call);
                         self.counts.external_calls += 1;
-                        let vals: Vec<u64> =
-                            call_args.iter().map(|a| eval(&values, *a, args)).collect();
-                        Some(self.call_external(callee, &vals)?)
+                        call_args.clear();
+                        call_args.extend(operands.iter().map(|a| eval(&values, *a)));
+                        Some(self.call_external(callee, &call_args)?)
                     }
                     Instruction::Malloc { size } => {
                         self.charge(cost.malloc);
                         self.counts.mallocs += 1;
-                        let s = eval(&values, *size, args) as usize;
+                        let s = eval(&values, *size) as usize;
                         let addr =
                             self.malloc.alloc(s).ok_or(InterpError::AllocationFailed(s as u64))?;
                         Some(addr.0)
@@ -429,7 +437,7 @@ impl<'a> Interpreter<'a> {
                     Instruction::Free { ptr } => {
                         self.charge(cost.free);
                         self.counts.frees += 1;
-                        let p = eval(&values, *ptr, args);
+                        let p = eval(&values, *ptr);
                         if p != 0 {
                             self.malloc.free(VirtAddr(p));
                         }
@@ -438,7 +446,7 @@ impl<'a> Interpreter<'a> {
                     Instruction::Halloc { size } => {
                         self.charge(cost.malloc + cost.handle_alloc_extra);
                         self.counts.hallocs += 1;
-                        let s = eval(&values, *size, args) as usize;
+                        let s = eval(&values, *size) as usize;
                         let h =
                             self.rt.halloc(s).map_err(|e| InterpError::Runtime(e.to_string()))?;
                         Some(h)
@@ -446,7 +454,7 @@ impl<'a> Interpreter<'a> {
                     Instruction::Hfree { ptr } => {
                         self.charge(cost.free + cost.handle_alloc_extra);
                         self.counts.hfrees += 1;
-                        let p = eval(&values, *ptr, args);
+                        let p = eval(&values, *ptr);
                         if p != 0 {
                             self.rt.hfree(p).map_err(|e| InterpError::Runtime(e.to_string()))?;
                         }
@@ -455,7 +463,7 @@ impl<'a> Interpreter<'a> {
                     Instruction::Translate { value, slot } => {
                         self.charge(cost.handle_check);
                         self.counts.handle_checks += 1;
-                        let v = eval(&values, *value, args);
+                        let v = eval(&values, *value);
                         if is_handle(v) {
                             self.charge(cost.translate);
                             self.counts.translations += 1;
@@ -491,22 +499,22 @@ impl<'a> Interpreter<'a> {
                     }
                 };
                 if let Some(r) = result {
-                    values.insert(v, r);
+                    values[v.0 as usize] = r;
                 }
             }
 
             // Phase 3: terminator.
-            self.charge(self.config.cost.branch);
+            self.charge(cost.branch);
             match block.terminator.as_ref().expect("verified function has terminators") {
                 Terminator::Ret(v) => {
-                    return Ok(v.map(|op| eval(&values, op, args)));
+                    return Ok(v.map(|op| eval(&values, op)));
                 }
                 Terminator::Br(t) => {
                     previous = Some(current);
                     current = *t;
                 }
                 Terminator::CondBr { cond, then_bb, else_bb } => {
-                    let c = eval(&values, *cond, args);
+                    let c = eval(&values, *cond);
                     previous = Some(current);
                     current = if c != 0 { *then_bb } else { *else_bb };
                 }
@@ -674,6 +682,30 @@ mod tests {
         b.ret(exit, Some(Operand::Value(i)));
         let r = run_function(b.finish(), &[10]);
         assert_eq!(r.return_value, Some(10));
+    }
+
+    #[test]
+    fn phis_of_a_block_are_resolved_simultaneously() {
+        // (a, b) = (1, 2), then `a, b = b, a` three times through phis only.
+        let mut b = FunctionBuilder::new("swap", 0);
+        let entry = b.entry_block();
+        let header = b.add_block("header");
+        let body = b.add_block("body");
+        let exit = b.add_block("exit");
+        b.br(entry, header);
+        let (x, y, i) = (b.phi(header), b.phi(header), b.phi(header));
+        let c = b.cmp(header, CmpOp::Lt, Operand::Value(i), Operand::Const(3));
+        b.cond_br(header, Operand::Value(c), body, exit);
+        let n = b.binop(body, BinOp::Add, Operand::Value(i), Operand::Const(1));
+        b.br(body, header);
+        for (phi, init, next) in [(x, 1, y), (y, 2, x), (i, 0, n)] {
+            b.add_phi_incoming(phi, entry, Operand::Const(init));
+            b.add_phi_incoming(phi, body, Operand::Value(next));
+        }
+        let tens = b.binop(exit, BinOp::Mul, Operand::Value(x), Operand::Const(10));
+        let r = b.binop(exit, BinOp::Add, Operand::Value(tens), Operand::Value(y));
+        b.ret(exit, Some(Operand::Value(r)));
+        assert_eq!(run_function(b.finish(), &[]).return_value, Some(21));
     }
 
     #[test]

@@ -5,140 +5,124 @@
 //! pin-set sizing pass builds an interference graph over translation live
 //! ranges to assign frame slots with a register-allocation-style greedy
 //! colouring.  This module provides classic backward block-level liveness
-//! (live-in/live-out sets) plus a per-instruction "last use" query within a
-//! block.
+//! (live-in/live-out sets).
+//!
+//! A set is a bitset over [`ValueId`]s: ⌈`insts.len()` / 64⌉ `u64` words per
+//! block, the sets of all blocks laid end to end in one vector.  The fixed
+//! point visits blocks in reverse RPO and is computed with word-wide
+//! union/difference, so nothing is hashed.
 
 use crate::cfg::Cfg;
-use crate::module::{BasicBlockId, Function, Operand, ValueId};
-use std::collections::{HashMap, HashSet};
+use crate::module::{BasicBlockId, Function, Instruction, Operand, ValueId};
+use std::ops::Range;
 
 /// Block-level liveness sets for a function.
 #[derive(Debug, Clone)]
 pub struct Liveness {
+    /// Words per block set.
+    words: usize,
     /// Values live on entry to each block.
-    pub live_in: HashMap<BasicBlockId, HashSet<ValueId>>,
+    live_in: Vec<u64>,
     /// Values live on exit from each block.
-    pub live_out: HashMap<BasicBlockId, HashSet<ValueId>>,
+    live_out: Vec<u64>,
 }
 
-fn uses_of(f: &Function, bb: BasicBlockId) -> Vec<(usize, Vec<ValueId>)> {
-    let block = f.block(bb);
-    let mut out = Vec::with_capacity(block.insts.len() + 1);
-    for (i, &v) in block.insts.iter().enumerate() {
-        let used: Vec<ValueId> = f
-            .inst(v)
-            .operands()
-            .into_iter()
-            .filter_map(|o| match o {
-                Operand::Value(u) => Some(u),
-                _ => None,
-            })
-            .collect();
-        out.push((i, used));
-    }
-    if let Some(t) = &block.terminator {
-        let used: Vec<ValueId> = t
-            .operands()
-            .into_iter()
-            .filter_map(|o| match o {
-                Operand::Value(u) => Some(u),
-                _ => None,
-            })
-            .collect();
-        out.push((block.insts.len(), used));
-    }
-    out
+fn insert(set: &mut [u64], v: ValueId) {
+    set[v.0 as usize / 64] |= 1 << (v.0 % 64);
+}
+
+fn contains(set: &[u64], v: ValueId) -> bool {
+    set[v.0 as usize / 64] >> (v.0 % 64) & 1 == 1
 }
 
 impl Liveness {
     /// Compute block-level liveness for `f`.
     pub fn build(f: &Function, cfg: &Cfg) -> Liveness {
+        let words = f.insts.len().div_ceil(64);
+        let span = |bb: BasicBlockId| -> Range<usize> {
+            let start = bb.0 as usize * words;
+            start..start + words
+        };
+        let len = f.blocks.len() * words;
+
         // Per-block use/def sets.  Phi uses are attributed to the predecessor
         // edge (standard SSA treatment): a phi's operand is live-out of the
         // corresponding predecessor, not live-in of the phi's block.
-        let mut use_set: HashMap<BasicBlockId, HashSet<ValueId>> = HashMap::new();
-        let mut def_set: HashMap<BasicBlockId, HashSet<ValueId>> = HashMap::new();
-        let mut phi_uses: HashMap<BasicBlockId, HashSet<ValueId>> = HashMap::new(); // pred -> values
-
+        let mut use_set = vec![0u64; len];
+        let mut def_set = vec![0u64; len];
+        let mut phi_uses = vec![0u64; len]; // by predecessor
         for bb in f.block_ids() {
-            let mut uses = HashSet::new();
-            let mut defs = HashSet::new();
-            for &v in &f.block(bb).insts {
+            let (uses, defs) = (&mut use_set[span(bb)], &mut def_set[span(bb)]);
+            let block = f.block(bb);
+            for &v in &block.insts {
                 match f.inst(v) {
-                    crate::module::Instruction::Phi { incomings } => {
+                    Instruction::Phi { incomings } => {
                         for (pred, op) in incomings {
                             if let Operand::Value(u) = op {
-                                phi_uses.entry(*pred).or_default().insert(*u);
+                                insert(&mut phi_uses[span(*pred)], *u);
                             }
                         }
                     }
                     inst => {
                         for op in inst.operands() {
                             if let Operand::Value(u) = op {
-                                if !defs.contains(&u) {
-                                    uses.insert(u);
+                                if !contains(defs, u) {
+                                    insert(uses, u);
                                 }
                             }
                         }
                     }
                 }
-                defs.insert(v);
+                insert(defs, v);
             }
-            if let Some(t) = &f.block(bb).terminator {
-                for op in t.operands() {
-                    if let Operand::Value(u) = op {
-                        if !defs.contains(&u) {
-                            uses.insert(u);
-                        }
+            for op in block.terminator.iter().flat_map(|t| t.operands()) {
+                if let Operand::Value(u) = op {
+                    if !contains(defs, u) {
+                        insert(uses, u);
                     }
                 }
             }
-            use_set.insert(bb, uses);
-            def_set.insert(bb, defs);
         }
 
-        let mut live_in: HashMap<BasicBlockId, HashSet<ValueId>> =
-            f.block_ids().map(|b| (b, HashSet::new())).collect();
-        let mut live_out: HashMap<BasicBlockId, HashSet<ValueId>> =
-            f.block_ids().map(|b| (b, HashSet::new())).collect();
-
+        let mut live_in = vec![0u64; len];
+        let mut live_out = vec![0u64; len];
+        let mut out = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
             for &bb in cfg.reverse_post_order.iter().rev() {
-                let mut out: HashSet<ValueId> = HashSet::new();
+                let b = span(bb);
+                out.copy_from_slice(&phi_uses[b.clone()]);
                 for &s in cfg.succs(bb) {
-                    out.extend(live_in[&s].iter().copied());
-                }
-                if let Some(pu) = phi_uses.get(&bb) {
-                    out.extend(pu.iter().copied());
-                }
-                let mut inn: HashSet<ValueId> = use_set[&bb].clone();
-                for &v in &out {
-                    if !def_set[&bb].contains(&v) {
-                        inn.insert(v);
+                    for (o, i) in out.iter_mut().zip(&live_in[span(s)]) {
+                        *o |= i;
                     }
                 }
-                if out != live_out[&bb] || inn != live_in[&bb] {
-                    live_out.insert(bb, out);
-                    live_in.insert(bb, inn);
-                    changed = true;
+                for (w, &o) in b.zip(&out) {
+                    let inn = use_set[w] | (o & !def_set[w]);
+                    changed |= o != live_out[w] || inn != live_in[w];
+                    live_out[w] = o;
+                    live_in[w] = inn;
                 }
             }
         }
-        Liveness { live_in, live_out }
+        Liveness { words, live_in, live_out }
+    }
+
+    fn holds(&self, sets: &[u64], bb: BasicBlockId, v: ValueId) -> bool {
+        let word = v.0 as usize / 64;
+        word < self.words
+            && sets.get(bb.0 as usize * self.words + word).is_some_and(|w| w >> (v.0 % 64) & 1 == 1)
+    }
+
+    /// Whether `v` is live on entry to block `bb`.
+    pub fn is_live_in(&self, bb: BasicBlockId, v: ValueId) -> bool {
+        self.holds(&self.live_in, bb, v)
     }
 
     /// Whether `v` is live out of block `bb`.
     pub fn is_live_out(&self, bb: BasicBlockId, v: ValueId) -> bool {
-        self.live_out.get(&bb).map(|s| s.contains(&v)).unwrap_or(false)
-    }
-
-    /// Index (within `bb`'s instruction list) just *after* the last use of `v`
-    /// in `bb`, or `None` if `v` is not used in `bb`.  The terminator counts as
-    /// index `len`.
-    pub fn last_use_in_block(&self, f: &Function, bb: BasicBlockId, v: ValueId) -> Option<usize> {
-        uses_of(f, bb).into_iter().filter(|(_, used)| used.contains(&v)).map(|(i, _)| i + 1).max()
+        self.holds(&self.live_out, bb, v)
     }
 }
 
@@ -176,10 +160,10 @@ mod tests {
         let header = BasicBlockId(1);
         let body = BasicBlockId(2);
         let exit = BasicBlockId(3);
-        assert!(lv.live_in[&header].contains(&v));
-        assert!(lv.live_in[&body].contains(&v));
+        assert!(lv.is_live_in(header, v));
+        assert!(lv.is_live_in(body, v));
         assert!(lv.is_live_out(f.entry, v));
-        assert!(!lv.live_in[&exit].contains(&v), "v is dead after the loop");
+        assert!(!lv.is_live_in(exit, v), "v is dead after the loop");
     }
 
     #[test]
@@ -191,8 +175,8 @@ mod tests {
         let f = b.finish();
         let cfg = Cfg::build(&f);
         let lv = Liveness::build(&f, &cfg);
-        assert!(!lv.live_out[&entry].contains(&dead));
-        assert!(!lv.live_in[&entry].contains(&dead));
+        assert!(!lv.is_live_out(entry, dead));
+        assert!(!lv.is_live_in(entry, dead));
     }
 
     #[test]
@@ -200,19 +184,11 @@ mod tests {
         let (f, _v) = loop_using_value();
         let cfg = Cfg::build(&f);
         let lv = Liveness::build(&f, &cfg);
-        // The increment feeding the phi along the back edge is live out of the body.
-        let body = BasicBlockId(2);
+        // The increment feeding the phi along the back edge is live out of the
+        // body, but not live into the phi's own block.
+        let (header, body) = (BasicBlockId(1), BasicBlockId(2));
         let inc = *f.block(body).insts.last().unwrap();
-        assert!(lv.live_out[&body].contains(&inc));
-    }
-
-    #[test]
-    fn last_use_position_is_after_the_final_use() {
-        let (f, v) = loop_using_value();
-        let lv = Liveness::build(&f, &Cfg::build(&f));
-        let body = BasicBlockId(2);
-        let pos = lv.last_use_in_block(&f, body, v).unwrap();
-        assert_eq!(pos, 1, "single use at index 0, so the range ends at 1");
-        assert!(lv.last_use_in_block(&f, BasicBlockId(3), v).is_none());
+        assert!(lv.is_live_out(body, inc));
+        assert!(!lv.is_live_in(header, inc));
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the compiler, runtime, Anchorage and the
 //! benchmark infrastructure working together, end to end.
 
-use alaska::{AlaskaBuilder, PipelineConfig};
+use alaska::{AlaskaBuilder, AnchorageConfig, PipelineConfig};
 use alaska_benchsuite::harness::{geomean_overhead_pct, measure_benchmark, run_ablation_study};
 use alaska_benchsuite::{all_benchmarks, find_benchmark, Scale};
 use alaska_compiler::compile_module;
@@ -96,12 +96,16 @@ fn ablation_ordering_holds_on_spec_benchmarks() {
 }
 
 /// Handles keep working across aggressive defragmentation while a property-
-/// style random workload mutates the heap.
+/// style random workload mutates the heap.  The run is one fixed sequence:
+/// victims are drawn from the test's own generator, and the 64 KiB sub-heaps
+/// leave every pass non-active sources to evacuate.
 #[test]
 fn random_workload_with_interleaved_defrag_is_consistent() {
-    use std::collections::HashMap;
-    let rt = AlaskaBuilder::new().with_anchorage().build();
-    let mut model: HashMap<u64, (u64, usize)> = HashMap::new(); // handle -> (seed, len)
+    use std::collections::BTreeMap;
+    let cfg = AnchorageConfig { subheap_capacity: 64 * 1024, ..Default::default() };
+    let rt = AlaskaBuilder::new().with_anchorage_config(cfg).build();
+    let mut model: BTreeMap<u64, (u64, usize)> = BTreeMap::new(); // handle -> (seed, len)
+    let mut live: Vec<u64> = Vec::new();
     let mut state = 0x1234_5678_9abc_def0u64;
     let mut rng = || {
         state ^= state << 13;
@@ -119,10 +123,12 @@ fn random_workload_with_interleaved_defrag_is_consistent() {
                 let bytes: Vec<u8> = (0..len).map(|i| (seed as usize + i) as u8).collect();
                 rt.write_bytes(h, 0, &bytes);
                 model.insert(h, (seed, len));
+                live.push(h);
             }
             2 => {
-                if let Some(&h) = model.keys().next() {
-                    let _ = model.remove(&h);
+                if !live.is_empty() {
+                    let h = live.swap_remove((rng() % live.len() as u64) as usize);
+                    model.remove(&h);
                     rt.hfree(h).unwrap();
                 }
             }
