@@ -17,8 +17,8 @@ fn main() {
     );
 
     println!(
-        "{:>8} {:>12} {:>10} {:>10} {:>10} {:>8} {:>12}",
-        "threads", "interval_ms", "mean_us", "p99_us", "stddev_us", "pauses", "ops"
+        "{:>8} {:>12} {:>10} {:>10} {:>8} {:>12}",
+        "threads", "interval_ms", "mean_us", "p99_us", "pauses", "ops"
     );
     let mut all: Vec<PauseExperimentResult> = Vec::new();
     for &threads in &threads_list {
@@ -34,7 +34,7 @@ fn main() {
             };
             let r = run_pause_experiment(&cfg);
             println!(
-                "{:>8} {:>12} {:>10.1} {:>10.1} {:>10.1} {:>8} {:>12}",
+                "{:>8} {:>12} {:>10.1} {:>10.1} {:>8} {:>12}",
                 r.threads,
                 if r.pause_interval_ms == 0 {
                     "none".to_string()
@@ -43,7 +43,6 @@ fn main() {
                 },
                 r.mean_us,
                 r.p99_us,
-                r.stddev_us,
                 r.pauses,
                 r.operations
             );

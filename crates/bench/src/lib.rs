@@ -15,15 +15,18 @@
 //! concrete section types live in [`sections`]; standalone benches print them
 //! with [`emit_section`] and `benchctl` merges them into one
 //! schema-versioned `run-manifest.json` (see `crates/benchctl`).
+//!
+//! These harnesses reproduce the paper's figures and tables; they do not
+//! time the runtime's hot paths.  Stopwatch loops over translate, pin/unpin,
+//! `halloc`/`hfree`, barriers and the defragmentation phases live in the
+//! repository's `benchmark/` package, which reports them per layer.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod memcached;
-pub mod micro;
 pub mod redis;
 pub mod sections;
-pub mod thread_sweep;
 
 use alaska_telemetry::json::JsonValue;
 
@@ -33,10 +36,10 @@ use alaska_telemetry::json::JsonValue;
 /// machine-readable figure data (`rows`), the knobs that produced them
 /// (`config`), and a flat scalar-metric map (`metrics`) that regression
 /// gating can diff with per-metric tolerance rules.  Metric names are
-/// dot-separated paths (`"steady_mb.anchorage"`, `"mops.translate_heavy.t8"`)
+/// dot-separated paths (`"steady_mb.anchorage"`, `"p99_us.t4.i100"`)
 /// and become `"<harness>.<path>"` in a merged manifest.
 pub trait ManifestSection {
-    /// Stable harness name (`"fig7"`, `"thread_sweep"`, …); the section key
+    /// Stable harness name (`"fig7"`, `"fig12"`, …); the section key
     /// in the run manifest.
     fn harness(&self) -> &'static str;
 
@@ -77,4 +80,18 @@ pub fn emit_section(section: &dyn ManifestSection) {
 /// experiments without recompiling), defaulting to `default`.
 pub fn env_scale(var: &str, default: f64) -> f64 {
     std::env::var(var).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// Deterministic value bytes for a key, shared by the Redis and memcached
+/// experiments so both stores hold the same payloads.
+pub(crate) fn value_bytes(key: u64, len: usize) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    let mut x = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    for b in v.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *b = x as u8;
+    }
+    v
 }

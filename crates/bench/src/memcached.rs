@@ -6,13 +6,17 @@
 //! objects, regardless of fragmentation (the paper's synthetic setup).  The
 //! workers record per-request latency; the figure plots mean latency against
 //! the pause interval for different thread counts.
+//!
+//! The request stream is YCSB workload A and nothing more: zipfian key
+//! popularity (θ = 0.99) with an even read/update mix, drawn by `YcsbA`
+//! from a per-worker xorshift so each worker's stream is reproducible.
 
+use crate::value_bytes;
 use alaska::runtime::telemetry_names;
 use alaska::{AlaskaBuilder, Telemetry};
 use alaska_kvstore::ShardedStore;
 use alaska_telemetry::json::{object, JsonValue, ToJson};
-use alaska_telemetry::MetricValue;
-use alaska_ycsb::{LatencyHistogram, Op, Workload, WorkloadConfig, WorkloadKind};
+use alaska_telemetry::{Histogram, MetricValue};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,8 +65,6 @@ pub struct PauseExperimentResult {
     pub mean_us: f64,
     /// 99th-percentile latency in microseconds.
     pub p99_us: f64,
-    /// Latency standard deviation in microseconds.
-    pub stddev_us: f64,
     /// Stop-the-world pauses executed.
     pub pauses: u64,
     /// Mean pause duration in microseconds.
@@ -70,6 +72,8 @@ pub struct PauseExperimentResult {
     /// Median pause duration in microseconds, from the runtime's
     /// `alaska_barrier_pause_ns` telemetry histogram.
     pub p50_pause_us: f64,
+    /// 90th-percentile pause duration in microseconds (same histogram).
+    pub p90_pause_us: f64,
     /// 99th-percentile pause duration in microseconds (same histogram).
     pub p99_pause_us: f64,
     /// Longest pause in microseconds (same histogram).
@@ -92,10 +96,10 @@ impl ToJson for PauseExperimentResult {
             ("operations", JsonValue::U64(self.operations)),
             ("mean_us", JsonValue::F64(self.mean_us)),
             ("p99_us", JsonValue::F64(self.p99_us)),
-            ("stddev_us", JsonValue::F64(self.stddev_us)),
             ("pauses", JsonValue::U64(self.pauses)),
             ("mean_pause_us", JsonValue::F64(self.mean_pause_us)),
             ("p50_pause_us", JsonValue::F64(self.p50_pause_us)),
+            ("p90_pause_us", JsonValue::F64(self.p90_pause_us)),
             ("p99_pause_us", JsonValue::F64(self.p99_pause_us)),
             ("max_pause_us", JsonValue::F64(self.max_pause_us)),
             ("objects_moved", JsonValue::U64(self.objects_moved)),
@@ -103,6 +107,58 @@ impl ToJson for PauseExperimentResult {
             ("magazine_refills", JsonValue::U64(self.magazine_refills)),
             ("fast_path_translations", JsonValue::U64(self.fast_path_translations)),
         ])
+    }
+}
+
+/// A YCSB workload A request stream: zipfian keys over `[0, n)` with
+/// YCSB's `ZipfianGenerator` approximation at θ = 0.99, half reads and half
+/// updates.
+struct YcsbA {
+    n: u64,
+    alpha: f64,
+    zetan: f64,
+    eta: f64,
+    state: u64,
+}
+
+impl YcsbA {
+    const THETA: f64 = 0.99;
+
+    fn new(n: u64, seed: u64) -> Self {
+        assert!(n > 0, "zipfian needs at least one item");
+        let zeta =
+            |count: u64| -> f64 { (1..=count).map(|i| 1.0 / (i as f64).powf(Self::THETA)).sum() };
+        let zetan = zeta(n);
+        let alpha = 1.0 / (1.0 - Self::THETA);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - Self::THETA)) / (1.0 - zeta(2) / zetan);
+        YcsbA { n, alpha, zetan, eta, state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1 }
+    }
+
+    /// A uniform variate in `[0, 1)` from the xorshift state.
+    fn next_unit(&mut self) -> f64 {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        (self.state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn next_key(&mut self) -> u64 {
+        let u = self.next_unit();
+        let uz = u * self.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(Self::THETA) {
+            return 1;
+        }
+        let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
+        k.min(self.n - 1)
+    }
+
+    /// The next request as `(key, is_read)`.
+    fn next_op(&mut self) -> (u64, bool) {
+        let key = self.next_key();
+        (key, self.next_unit() < 0.5)
     }
 }
 
@@ -114,7 +170,7 @@ pub fn run_pause_experiment(cfg: &PauseExperimentConfig) -> PauseExperimentResul
 
     // Preload.
     for key in 0..cfg.record_count {
-        store.set(key, &Workload::value_for(key, cfg.value_size));
+        store.set(key, &value_bytes(key, cfg.value_size));
     }
     let moved_before = rt.stats().objects_moved;
 
@@ -123,37 +179,22 @@ pub fn run_pause_experiment(cfg: &PauseExperimentConfig) -> PauseExperimentResul
     for t in 0..cfg.threads {
         let store = store.clone();
         let stop = stop.clone();
-        let wcfg = WorkloadConfig {
-            kind: WorkloadKind::A,
-            record_count: cfg.record_count,
-            value_size: cfg.value_size,
-            seed: 1000 + t as u64,
-            ..Default::default()
-        };
+        let (record_count, value_size) = (cfg.record_count, cfg.value_size);
         workers.push(std::thread::spawn(move || {
             let _guard = store.runtime().register_current_thread();
-            let mut workload = Workload::new(wcfg);
-            let mut hist = LatencyHistogram::new();
-            let mut ops = 0u64;
+            let mut requests = YcsbA::new(record_count, 1000 + t as u64);
+            let hist = Histogram::new();
             while !stop.load(Ordering::Relaxed) {
-                let op = workload.next_op();
+                let (key, is_read) = requests.next_op();
                 let start = Instant::now();
-                match op {
-                    Op::Read(k) => {
-                        let _ = store.get(k);
-                    }
-                    Op::Update(k, len) | Op::Insert(k, len) => {
-                        store.set(k, &Workload::value_for(k, len));
-                    }
-                    Op::ReadModifyWrite(k, len) => {
-                        let _ = store.get(k);
-                        store.set(k, &Workload::value_for(k.wrapping_add(1), len));
-                    }
+                if is_read {
+                    let _ = store.get(key);
+                } else {
+                    store.set(key, &value_bytes(key, value_size));
                 }
-                hist.record_ns(start.elapsed().as_nanos() as u64);
-                ops += 1;
+                hist.record(start.elapsed().as_nanos() as u64);
             }
-            (hist, ops)
+            hist
         }));
     }
 
@@ -179,12 +220,9 @@ pub fn run_pause_experiment(cfg: &PauseExperimentConfig) -> PauseExperimentResul
     }
     stop.store(true, Ordering::Relaxed);
 
-    let mut merged = LatencyHistogram::new();
-    let mut total_ops = 0u64;
+    let merged = Histogram::new();
     for w in workers {
-        let (hist, ops) = w.join().expect("worker panicked");
-        merged.merge(&hist);
-        total_ops += ops;
+        merged.merge(&w.join().expect("worker panicked"));
     }
 
     // Pause percentiles come from the runtime's own histogram rather than the
@@ -199,10 +237,9 @@ pub fn run_pause_experiment(cfg: &PauseExperimentConfig) -> PauseExperimentResul
     PauseExperimentResult {
         threads: cfg.threads,
         pause_interval_ms: cfg.pause_interval_ms.unwrap_or(0),
-        operations: total_ops,
-        mean_us: merged.mean_us(),
-        p99_us: merged.percentile_us(99.0),
-        stddev_us: merged.stddev_us(),
+        operations: merged.count(),
+        mean_us: merged.mean() / 1000.0,
+        p99_us: merged.percentile(99.0) as f64 / 1000.0,
         pauses,
         mean_pause_us: if pauses == 0 {
             0.0
@@ -210,6 +247,7 @@ pub fn run_pause_experiment(cfg: &PauseExperimentConfig) -> PauseExperimentResul
             pause_time.as_micros() as f64 / pauses as f64
         },
         p50_pause_us: pause_hist.map_or(0.0, |h| h.p50 as f64 / 1000.0),
+        p90_pause_us: pause_hist.map_or(0.0, |h| h.p90 as f64 / 1000.0),
         p99_pause_us: pause_hist.map_or(0.0, |h| h.p99 as f64 / 1000.0),
         max_pause_us: pause_hist.map_or(0.0, |h| h.max as f64 / 1000.0),
         objects_moved: final_stats.objects_moved - moved_before,
@@ -222,6 +260,30 @@ pub fn run_pause_experiment(cfg: &PauseExperimentConfig) -> PauseExperimentResul
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zipfian_prefers_low_keys() {
+        let mut requests = YcsbA::new(1000, 7);
+        let draws = 20_000;
+        let low = (0..draws).filter(|_| requests.next_key() < 100).count();
+        // With theta=0.99, far more than 10% of draws hit the hottest 10% keys.
+        assert!(low as f64 / draws as f64 > 0.4, "zipfian skew too weak: {low}/{draws}");
+    }
+
+    #[test]
+    fn ycsb_a_keys_are_in_range_and_half_reads() {
+        let record_count = 2_000;
+        let mut requests = YcsbA::new(record_count, 3);
+        let draws = 20_000;
+        let mut reads = 0;
+        for _ in 0..draws {
+            let (key, is_read) = requests.next_op();
+            assert!(key < record_count);
+            reads += is_read as usize;
+        }
+        let frac = reads as f64 / draws as f64;
+        assert!((frac - 0.5).abs() <= 0.02, "read fraction {frac}");
+    }
 
     #[test]
     fn pause_experiment_completes_and_moves_objects() {

@@ -14,6 +14,7 @@
 //! * **activedefrag** — the application itself re-packs values on the
 //!   arena back-end, mimicking Redis's bespoke defragmenter.
 
+use crate::value_bytes;
 use alaska::{AlaskaBuilder, ControlAlgorithm, ControlParams, Runtime};
 use alaska_heap::freelist::FreeListAllocator;
 use alaska_heap::mesh::MeshAllocator;
@@ -236,7 +237,7 @@ pub fn run_redis_experiment(
             if len as u64 > budget && budget < cfg.bytes_per_ms {
                 break;
             }
-            let value = alaska_ycsb_value(next_key, len);
+            let value = value_bytes(next_key, len);
             store.set(next_key, &value);
             next_key += 1;
             budget = budget.saturating_sub(len as u64);
@@ -303,20 +304,6 @@ pub fn run_redis_experiment(
         passes,
         evictions: store.evictions(),
     }
-}
-
-/// Deterministic value bytes (kept local so the bench crate does not need the
-/// generator for this path).
-fn alaska_ycsb_value(key: u64, len: usize) -> Vec<u8> {
-    let mut v = vec![0u8; len];
-    let mut x = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    for b in v.iter_mut() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *b = x as u8;
-    }
-    v
 }
 
 /// Memory saved at steady state relative to the baseline run — the paper's

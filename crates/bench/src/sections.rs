@@ -11,16 +11,14 @@
 //! * deterministic modelled/simulated quantities (`overhead_pct.*`,
 //!   `growth_x.*`, `steady_mb.*`, `passes.*`) are reproducible across
 //!   machines and gate tightly,
-//! * wall-clock quantities (`mean_us.*`, `p99_us.*`, `mops.*`, `ns_per_op.*`)
-//!   are machine-dependent and gate loosely (see `benchctl`'s default
-//!   tolerance rules),
+//! * wall-clock quantities (`mean_us.*`, `p99_us.*`, `p99_pause_us.*`) are
+//!   machine-dependent and gate loosely (see `benchctl`'s default tolerance
+//!   rules),
 //! * per-configuration axes encode as short suffixes: `t{threads}` and
 //!   `i{interval_ms}` (`i0` = the no-pause reference).
 
 use crate::memcached::PauseExperimentResult;
-use crate::micro::{DefragPhasesConfig, DefragPhasesResult, MicroConfig, MicroResult};
 use crate::redis::{savings_vs_baseline, RedisExperimentResult};
-use crate::thread_sweep::ThreadSweepResult;
 use crate::ManifestSection;
 use alaska::ControlParams;
 use alaska_benchsuite::harness::{geomean_overhead_pct, BenchmarkResult};
@@ -299,206 +297,9 @@ impl ManifestSection for CodesizeSection {
     }
 }
 
-/// The thread-scaling sweep of the sharded handle table.
-pub struct ThreadSweepSection {
-    /// Operations issued per thread in every configuration.
-    pub ops_per_thread: u64,
-    /// One result per `(mix, threads)` configuration.
-    pub results: Vec<ThreadSweepResult>,
-}
-
-impl ManifestSection for ThreadSweepSection {
-    fn harness(&self) -> &'static str {
-        "thread_sweep"
-    }
-
-    fn config(&self) -> JsonValue {
-        // Label the host so single-core CI numbers are not mistaken for
-        // scaling results (the throughput columns cannot scale there).
-        let parallelism = self.results.first().map(|r| r.available_parallelism as u64).unwrap_or(0);
-        let shards = self.results.first().map(|r| r.shards as u64).unwrap_or(0);
-        // Surface a forced copy-pool size (CI pins ALASKA_DEFRAG_WORKERS) so
-        // sweep numbers taken under a forced pool are not compared naively
-        // against host-sized runs.  0 = not forced.
-        let forced_defrag_workers = std::env::var("ALASKA_DEFRAG_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        object([
-            ("ops_per_thread", JsonValue::U64(self.ops_per_thread)),
-            ("available_parallelism", JsonValue::U64(parallelism)),
-            ("shards", JsonValue::U64(shards)),
-            ("single_core_host", JsonValue::Bool(parallelism <= 1)),
-            ("forced_defrag_workers", JsonValue::U64(forced_defrag_workers)),
-        ])
-    }
-
-    fn rows(&self) -> JsonValue {
-        self.results.to_json()
-    }
-
-    fn metrics(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        for r in &self.results {
-            // Magazine-sweep rows get their own keyspace so they never
-            // collide with (or silently replace) the default-sizing rows.
-            let key = if r.magazine_override {
-                format!("{}.t{}.mag{}_{}", r.mix, r.threads, r.magazine_cap, r.magazine_refill)
-            } else {
-                format!("{}.t{}", r.mix, r.threads)
-            };
-            out.push((format!("mops.{key}"), r.mops));
-            out.push((format!("shard_lock_contention.{key}"), r.shard_lock_contention as f64));
-            out.push((format!("magazine_refills.{key}"), r.magazine_refills as f64));
-        }
-        out
-    }
-}
-
-/// Stopwatch microbenchmarks of the runtime's hot paths.
-pub struct MicroSection {
-    /// Iteration counts the loops ran with.
-    pub micro_config: MicroConfig,
-    /// One result per operation.
-    pub results: Vec<MicroResult>,
-}
-
-impl ManifestSection for MicroSection {
-    fn harness(&self) -> &'static str {
-        "micro"
-    }
-
-    fn config(&self) -> JsonValue {
-        object([
-            ("iters", JsonValue::U64(self.micro_config.iters)),
-            ("defrag_objects", JsonValue::U64(self.micro_config.defrag_objects as u64)),
-            ("defrag_rounds", JsonValue::U64(self.micro_config.defrag_rounds)),
-        ])
-    }
-
-    fn rows(&self) -> JsonValue {
-        self.results.to_json()
-    }
-
-    fn metrics(&self) -> Vec<(String, f64)> {
-        self.results.iter().map(|r| (format!("ns_per_op.{}", r.name), r.ns_per_op)).collect()
-    }
-}
-
-/// Per-phase timing breakdown of the plan → copy → commit defragmentation
-/// pipeline (see `alaska_anchorage::service` for the three-phase design).
-pub struct DefragPhasesSection {
-    /// Heap shape and worker-pool request the rounds ran with.
-    pub phases_config: DefragPhasesConfig,
-    /// Accumulated timings across all rounds.
-    pub result: DefragPhasesResult,
-}
-
-impl ManifestSection for DefragPhasesSection {
-    fn harness(&self) -> &'static str {
-        "defrag_phases"
-    }
-
-    fn config(&self) -> JsonValue {
-        object([
-            ("objects", JsonValue::U64(self.phases_config.objects as u64)),
-            ("rounds", JsonValue::U64(self.phases_config.rounds)),
-            ("requested_workers", JsonValue::U64(self.phases_config.workers.unwrap_or(0) as u64)),
-            // Host-dependent: recorded for context, deliberately not a
-            // gating metric (CI pins the pool via ALASKA_DEFRAG_WORKERS).
-            ("max_copy_workers", JsonValue::U64(self.result.max_copy_workers)),
-        ])
-    }
-
-    fn rows(&self) -> JsonValue {
-        JsonValue::Array(vec![self.result.to_json()])
-    }
-
-    fn metrics(&self) -> Vec<(String, f64)> {
-        vec![
-            ("plan_ns_per_pass".to_string(), self.result.plan_ns_per_pass),
-            ("copy_ns_per_pass".to_string(), self.result.copy_ns_per_pass),
-            ("commit_ns_per_pass".to_string(), self.result.commit_ns_per_pass),
-            ("objects_per_batch".to_string(), self.result.objects_per_batch),
-            ("copy_batches".to_string(), self.result.copy_batches as f64),
-            ("degraded_batches".to_string(), self.result.degraded_batches as f64),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::thread_sweep::{run_thread_sweep, SweepMix, ThreadSweepConfig};
-
-    #[test]
-    fn thread_sweep_section_labels_the_host() {
-        let cfg = ThreadSweepConfig {
-            threads: 1,
-            mix: SweepMix::TranslateHeavy,
-            ops_per_thread: 1_000,
-            object_size: 64,
-            working_set: 64,
-            magazine: None,
-        };
-        let section = ThreadSweepSection {
-            ops_per_thread: cfg.ops_per_thread,
-            results: vec![
-                run_thread_sweep(&cfg),
-                run_thread_sweep(&ThreadSweepConfig {
-                    mix: SweepMix::AllocFreeHeavy,
-                    working_set: 0,
-                    magazine: Some((8, 4)),
-                    ..cfg
-                }),
-            ],
-        };
-        let config = section.config();
-        assert!(config.get("available_parallelism").unwrap().as_u64().unwrap() >= 1);
-        assert!(config.get("shards").unwrap().as_u64().unwrap().is_power_of_two());
-        assert!(config.get("forced_defrag_workers").is_some());
-        let metrics = section.metrics();
-        assert!(metrics.iter().any(|(k, _)| k == "mops.translate_heavy.t1"));
-        assert!(
-            metrics.iter().any(|(k, _)| k == "mops.alloc_free_heavy.t1.mag8_4"),
-            "magazine-sweep rows must carry the mag suffix"
-        );
-        let rendered = section.to_section().render();
-        assert!(rendered.contains("\"single_core_host\""));
-        assert!(rendered.contains("\"magazine_override\""));
-    }
-
-    #[test]
-    fn micro_section_flattens_ns_per_op() {
-        let micro_config = MicroConfig { iters: 500, defrag_objects: 200, defrag_rounds: 1 };
-        let section =
-            MicroSection { results: crate::micro::run_micro(&micro_config), micro_config };
-        let metrics = section.metrics();
-        assert!(metrics.iter().any(|(k, v)| k == "ns_per_op.translate_handle" && *v > 0.0));
-        assert_eq!(section.harness(), "micro");
-    }
-
-    #[test]
-    fn defrag_phases_section_flattens_phase_timings() {
-        let phases_config =
-            crate::micro::DefragPhasesConfig { objects: 600, rounds: 1, workers: Some(2) };
-        let section = DefragPhasesSection {
-            result: crate::micro::run_defrag_phases(&phases_config),
-            phases_config,
-        };
-        assert_eq!(section.harness(), "defrag_phases");
-        let metrics = section.metrics();
-        for key in ["plan_ns_per_pass", "copy_ns_per_pass", "commit_ns_per_pass"] {
-            assert!(
-                metrics.iter().any(|(k, v)| k == key && *v > 0.0),
-                "{key} must be a positive gating metric"
-            );
-        }
-        assert!(metrics.iter().any(|(k, v)| k == "objects_per_batch" && *v >= 1.0));
-        // Worker count is host-dependent context, not a gated metric.
-        assert!(metrics.iter().all(|(k, _)| k != "max_copy_workers"));
-        assert!(section.config().get("max_copy_workers").is_some());
-    }
 
     #[test]
     fn section_objects_have_the_manifest_shape() {

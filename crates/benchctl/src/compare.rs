@@ -8,15 +8,13 @@
 //! * modelled/simulated quantities (`fig7`/`fig8` overheads, code-size
 //!   growth, the simulated Redis RSS curves) are deterministic and gate
 //!   tightly,
-//! * wall-clock quantities (latencies, `mops`, `ns_per_op`) are
-//!   machine- and load-dependent and gate loosely,
-//! * contention counters are workload-shape indicators and gate only against
-//!   large multiplicative blow-ups.
+//! * wall-clock quantities (the `fig12` latencies) are machine- and
+//!   load-dependent and gate loosely.
 //!
 //! Rules are first-match-wins over `*`-wildcard patterns; callers can
 //! prepend overrides (CLI `--tolerance pattern=rel`) ahead of
 //! [`default_rules`].  Relative change is measured against
-//! `max(|base|, floor)` so near-zero baselines (an idle contention counter,
+//! `max(|base|, floor)` so near-zero baselines (a zero pass count,
 //! a 0.0µs percentile) do not turn noise into infinite regressions.
 
 use crate::manifest::{ManifestError, RunManifest};
@@ -35,7 +33,7 @@ pub enum Direction {
 #[derive(Debug, Clone)]
 pub struct Rule {
     /// `*`-wildcard pattern over full metric names
-    /// (`"fig12.p99_us.*"`, `"*.mops.*"`).
+    /// (`"fig12.p99_us.*"`, `"*.savings_pct.*"`).
     pub pattern: String,
     /// Which movement direction counts as a regression.
     pub direction: Direction,
@@ -87,18 +85,6 @@ pub fn default_rules() -> Vec<Rule> {
         // cross-machine CI relaxes the whole family with `--tolerance`.
         Rule::new("fig12.p99_pause_us.*", LowerIsBetter, 0.50, 50.0),
         Rule::new("fig12.*", LowerIsBetter, 0.15, 1.0),
-        // Throughput and stopwatch numbers move with the machine.
-        Rule::new("thread_sweep.mops.*", HigherIsBetter, 0.50, 0.05),
-        Rule::new("thread_sweep.shard_lock_contention.*", LowerIsBetter, 2.0, 1000.0),
-        Rule::new("thread_sweep.*", LowerIsBetter, 0.50, 100.0),
-        Rule::new("micro.ns_per_op.defrag_barrier*", LowerIsBetter, 1.0, 1000.0),
-        Rule::new("micro.*", LowerIsBetter, 0.75, 5.0),
-        // Defrag phase timings are wall-clock and worker-count sensitive;
-        // batch shape (objects per batch) is deterministic given the heap
-        // layout, so it gates tighter and in the higher-is-better direction.
-        Rule::new("defrag_phases.*_ns_per_pass", LowerIsBetter, 1.0, 1000.0),
-        Rule::new("defrag_phases.objects_per_batch", HigherIsBetter, 0.5, 1.0),
-        Rule::new("defrag_phases.*", LowerIsBetter, 0.5, 1.0),
         // Anything new defaults to lower-is-better with moderate slack.
         Rule::new("*", LowerIsBetter, 0.25, 1.0),
     ]
@@ -106,7 +92,7 @@ pub fn default_rules() -> Vec<Rule> {
 
 /// Parse a CLI `pattern=rel_tol` override into a rule (direction and floor
 /// come from the first default rule the pattern itself would match, so
-/// `--tolerance 'thread_sweep.mops.*=2.0'` stays higher-is-better).
+/// `--tolerance 'fig9.savings_pct.*=2.0'` stays higher-is-better).
 pub fn parse_override(spec: &str) -> Result<Rule, String> {
     let (pattern, tol) =
         spec.split_once('=').ok_or_else(|| format!("expected pattern=rel_tol, got {spec:?}"))?;
@@ -234,7 +220,7 @@ mod tests {
     #[test]
     fn wildcard_patterns_match_like_globs() {
         assert!(pattern_matches("fig12.*", "fig12.p99_us.t4.i100"));
-        assert!(pattern_matches("*.mops.*", "thread_sweep.mops.translate_heavy.t8"));
+        assert!(pattern_matches("*.savings_pct.*", "fig11.savings_pct.mesh"));
         assert!(pattern_matches("*", "anything.at.all"));
         assert!(pattern_matches("fig7.overhead_pct.mcf", "fig7.overhead_pct.mcf"));
         assert!(!pattern_matches("fig7.*", "fig8.overhead_pct.mcf"));
@@ -256,7 +242,7 @@ mod tests {
 
     #[test]
     fn overrides_inherit_direction_from_defaults() {
-        let rule = parse_override("thread_sweep.mops.*=2.0").unwrap();
+        let rule = parse_override("fig11.savings_pct.*=2.0").unwrap();
         assert_eq!(rule.direction, Direction::HigherIsBetter);
         assert_eq!(rule.rel_tol, 2.0);
         let rule = parse_override("fig12.*=0.5").unwrap();

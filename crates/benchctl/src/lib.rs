@@ -1,6 +1,6 @@
 //! **alaska-benchctl** — the unified run-manifest benchmark harness.
 //!
-//! The repo reproduces the paper's figures through ten separate bench
+//! The repo reproduces the paper's figures through seven separate bench
 //! harnesses; each used to print its own `JSON …` blob and nothing collected
 //! them.  `benchctl` runs any subset of those harnesses in one process and
 //! merges their [`alaska_bench::ManifestSection`]s into a single
@@ -26,7 +26,7 @@
 //! * [`host`] — host detection, git SHA, CPU-time accounting,
 //! * [`manifest`] — the [`manifest::RunManifest`] container: schema
 //!   versioning, JSON round-tripping, metric flattening,
-//! * [`runner`] — CI-sized drivers for all ten harnesses plus the
+//! * [`runner`] — CI-sized drivers for all seven harnesses plus the
 //!   instrumented telemetry smoke run,
 //! * [`compare`] — tolerance rules and the regression report.
 //!

@@ -1,4 +1,4 @@
-//! CI-sized drivers for the ten harnesses plus the telemetry smoke run.
+//! CI-sized drivers for the seven harnesses plus the telemetry smoke run.
 //!
 //! `benchctl run` executes the same experiment code the standalone
 //! `benches/` binaries use, but with manifest-friendly defaults: every
@@ -10,13 +10,11 @@
 
 use alaska::ControlParams;
 use alaska_bench::memcached::{run_pause_experiment, PauseExperimentConfig};
-use alaska_bench::micro::{run_defrag_phases, run_micro, DefragPhasesConfig, MicroConfig};
 use alaska_bench::redis::{run_redis_experiment, Backend, RedisExperimentConfig, ValueSizing};
 use alaska_bench::sections::{
-    AblationSection, CodesizeSection, ControlEnvelopeSection, DefragPhasesSection, MicroSection,
-    OverheadSection, PauseSection, RedisSection, ThreadSweepSection,
+    AblationSection, CodesizeSection, ControlEnvelopeSection, OverheadSection, PauseSection,
+    RedisSection,
 };
-use alaska_bench::thread_sweep::{run_thread_sweep, SweepMix, ThreadSweepConfig};
 use alaska_bench::ManifestSection;
 use alaska_benchsuite::harness::{run_ablation_study, run_codesize_study, run_overhead_study};
 use alaska_benchsuite::Scale;
@@ -24,7 +22,7 @@ use alaska_telemetry::json::JsonValue;
 use alaska_telemetry::Telemetry;
 use std::sync::Arc;
 
-/// The ten harnesses a manifest can cover.
+/// The seven harnesses a manifest can cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Harness {
     /// Figure 7: per-benchmark translation/tracking overhead.
@@ -41,17 +39,11 @@ pub enum Harness {
     Fig12,
     /// §5.2 static code-size growth.
     TableCodesize,
-    /// Handle-table thread-scaling sweep.
-    ThreadSweep,
-    /// Stopwatch microbenchmarks of the hot paths.
-    Micro,
-    /// Plan/copy/commit phase timings of the parallel defragmenter.
-    DefragPhases,
 }
 
 impl Harness {
     /// Every harness, in manifest order.
-    pub const ALL: [Harness; 10] = [
+    pub const ALL: [Harness; 7] = [
         Harness::Fig7,
         Harness::Fig8,
         Harness::Fig9,
@@ -59,9 +51,6 @@ impl Harness {
         Harness::Fig11,
         Harness::Fig12,
         Harness::TableCodesize,
-        Harness::ThreadSweep,
-        Harness::Micro,
-        Harness::DefragPhases,
     ];
 
     /// Stable name, equal to the section key the harness writes.
@@ -74,9 +63,6 @@ impl Harness {
             Harness::Fig11 => "fig11",
             Harness::Fig12 => "fig12",
             Harness::TableCodesize => "table_codesize",
-            Harness::ThreadSweep => "thread_sweep",
-            Harness::Micro => "micro",
-            Harness::DefragPhases => "defrag_phases",
         }
     }
 
@@ -203,57 +189,6 @@ pub fn run_harness(harness: Harness, scale: f64) -> Box<dyn ManifestSection> {
                 .collect();
             Box::new(CodesizeSection { scale: s, rows })
         }
-        Harness::ThreadSweep => {
-            let ops_per_thread = (20_000.0 * scale) as u64;
-            let mut results = Vec::new();
-            for mix in [SweepMix::TranslateHeavy, SweepMix::AllocFreeHeavy] {
-                for threads in [1usize, 2, 4, 8] {
-                    let cfg = ThreadSweepConfig {
-                        threads,
-                        mix,
-                        ops_per_thread,
-                        object_size: 64,
-                        working_set: 1024,
-                        magazine: None,
-                    };
-                    results.push(run_thread_sweep(&cfg));
-                }
-            }
-            // Magazine cap/refill sweep at a fixed thread count: pits the
-            // default 64/32 sizing against smaller and larger magazines on
-            // the mix that actually stresses the ID-transfer paths.
-            for magazine in [(8usize, 4usize), (64, 32), (256, 128)] {
-                let cfg = ThreadSweepConfig {
-                    threads: 4,
-                    mix: SweepMix::AllocFreeHeavy,
-                    ops_per_thread,
-                    object_size: 64,
-                    working_set: 0,
-                    magazine: Some(magazine),
-                };
-                results.push(run_thread_sweep(&cfg));
-            }
-            Box::new(ThreadSweepSection { ops_per_thread, results })
-        }
-        Harness::Micro => {
-            let micro_config = MicroConfig {
-                iters: (50_000.0 * scale) as u64,
-                defrag_objects: (2_000.0 * scale) as usize,
-                defrag_rounds: 3,
-            };
-            Box::new(MicroSection { results: run_micro(&micro_config), micro_config })
-        }
-        Harness::DefragPhases => {
-            let phases_config = DefragPhasesConfig {
-                objects: (2_000.0 * scale) as usize,
-                rounds: 3,
-                workers: None,
-            };
-            Box::new(DefragPhasesSection {
-                result: run_defrag_phases(&phases_config),
-                phases_config,
-            })
-        }
     }
 }
 
@@ -300,15 +235,24 @@ mod tests {
 
     #[test]
     fn tiny_harness_runs_produce_gating_metrics() {
-        // The two cheapest harnesses, heavily scaled down: enough to prove
-        // run_harness → section → metrics end to end without slowing tests.
+        // The cheapest harness: enough to prove run_harness → section →
+        // metrics end to end without slowing tests.
         let section = run_harness(Harness::TableCodesize, 1.0);
         assert_eq!(section.harness(), "table_codesize");
         assert!(section.metrics().iter().any(|(k, _)| k == "geomean_growth_x"));
-        let section = run_harness(Harness::Micro, 0.02);
-        assert!(section.metrics().iter().any(|(k, _)| k.starts_with("ns_per_op.")));
-        let section = run_harness(Harness::DefragPhases, 0.2);
-        assert_eq!(section.harness(), "defrag_phases");
-        assert!(section.metrics().iter().any(|(k, v)| k == "copy_ns_per_pass" && *v > 0.0));
+    }
+
+    #[test]
+    fn baseline_sections_match_the_harness_list() {
+        // A harness added or deleted without its BENCH_BASELINE.json section
+        // would otherwise only fail the `compare` gate.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
+        let baseline = crate::RunManifest::load(std::path::Path::new(path))
+            .expect("BENCH_BASELINE.json parses");
+        let mut sections: Vec<&str> = baseline.sections.iter().map(|(k, _)| k.as_str()).collect();
+        let mut harnesses: Vec<&str> = Harness::ALL.iter().map(|h| h.name()).collect();
+        sections.sort_unstable();
+        harnesses.sort_unstable();
+        assert_eq!(sections, harnesses);
     }
 }

@@ -11,13 +11,12 @@ use alaska_benchctl::{
 use alaska_telemetry::json::JsonValue;
 
 /// Build a manifest from real-but-tiny harness runs: the cheap deterministic
-/// harnesses plus a short fig12 run so the gate has p99 metrics to trip on.
+/// code-size table plus a short fig12 run so the gate has p99 metrics to
+/// trip on.
 fn tiny_manifest() -> RunManifest {
     let mut m = RunManifest::new(HostInfo::detect(), host::git_sha());
     m.set_config("scale", "tiny");
-    for (harness, scale) in
-        [(Harness::TableCodesize, 1.0), (Harness::Micro, 0.02), (Harness::Fig12, 0.25)]
-    {
+    for (harness, scale) in [(Harness::TableCodesize, 1.0), (Harness::Fig12, 0.25)] {
         m.add_section(run_harness(harness, scale).as_ref());
     }
     m.telemetry = telemetry_snapshot();

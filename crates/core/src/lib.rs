@@ -95,7 +95,6 @@ pub struct AlaskaBuilder {
     service: ServiceChoice,
     handle_faults: bool,
     telemetry: Option<Arc<Telemetry>>,
-    magazine_size: Option<(usize, usize)>,
 }
 
 impl Default for AlaskaBuilder {
@@ -112,7 +111,6 @@ impl AlaskaBuilder {
             service: ServiceChoice::Malloc,
             handle_faults: false,
             telemetry: None,
-            magazine_size: None,
         }
     }
 
@@ -153,16 +151,6 @@ impl AlaskaBuilder {
         self
     }
 
-    /// Size the per-thread free-ID magazines: `cap` is the flush threshold,
-    /// `refill` the batch reserved from a shard on an empty magazine (see
-    /// [`Runtime::set_magazine_sizing`] for clamping).  The
-    /// `ALASKA_MAGAZINE_CAP`/`ALASKA_MAGAZINE_REFILL` env vars set the
-    /// default when this is not called.
-    pub fn magazine_size(mut self, cap: usize, refill: usize) -> Self {
-        self.magazine_size = Some((cap, refill));
-        self
-    }
-
     /// Build the runtime.
     pub fn build(self) -> Runtime {
         let vm = self.vm.unwrap_or_default();
@@ -175,9 +163,6 @@ impl AlaskaBuilder {
         };
         let rt = Runtime::with_vm(vm, service);
         rt.enable_handle_faults(self.handle_faults);
-        if let Some((cap, refill)) = self.magazine_size {
-            rt.set_magazine_sizing(cap, refill);
-        }
         if let Some(hub) = self.telemetry {
             rt.install_telemetry(hub);
         }
@@ -230,14 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_magazines_and_defrag_workers() {
-        let rt = AlaskaBuilder::new().with_anchorage().magazine_size(16, 8).build();
-        assert_eq!(rt.magazine_sizing(), (16, 8));
-        // Out-of-range requests are clamped, not rejected.
-        let rt = AlaskaBuilder::new().magazine_size(1, 9999).build();
-        let (cap, refill) = rt.magazine_sizing();
-        assert_eq!(cap, 2);
-        assert!(refill <= cap);
+    fn builder_configures_defrag_workers() {
         // The copy pool is sized in the Anchorage config; the runtime still
         // builds and defragments when the pool is configured.
         let cfg = AnchorageConfig { defrag_workers: Some(2), ..Default::default() };

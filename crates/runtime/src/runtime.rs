@@ -62,29 +62,11 @@ use std::time::{Duration, Instant};
 
 static NEXT_RUNTIME_ID: AtomicUsize = AtomicUsize::new(1);
 
-/// Default capacity of a per-thread free-ID magazine; at this size half is
-/// flushed back to the owning shard.  Overridable per runtime via
-/// [`Runtime::set_magazine_sizing`] or the `ALASKA_MAGAZINE_CAP` env var.
-const MAGAZINE_CAP_DEFAULT: usize = 64;
-/// Default batch size of a magazine refill from a shard (overridable via
-/// [`Runtime::set_magazine_sizing`] or `ALASKA_MAGAZINE_REFILL`).
-const MAGAZINE_REFILL_DEFAULT: usize = 32;
-/// Hard bounds on configurable magazine capacity.
-const MAGAZINE_CAP_RANGE: std::ops::RangeInclusive<usize> = 2..=4096;
-
-/// Initial magazine sizing for a new runtime: `ALASKA_MAGAZINE_CAP` /
-/// `ALASKA_MAGAZINE_REFILL` when set and parsable, otherwise the 64/32
-/// defaults.  Refill defaults to `cap / 2` when only the cap is overridden.
-fn magazine_sizing_from_env() -> (usize, usize) {
-    let parse = |var: &str| std::env::var(var).ok().and_then(|v| v.parse::<usize>().ok());
-    let cap = parse("ALASKA_MAGAZINE_CAP")
-        .unwrap_or(MAGAZINE_CAP_DEFAULT)
-        .clamp(*MAGAZINE_CAP_RANGE.start(), *MAGAZINE_CAP_RANGE.end());
-    let refill = parse("ALASKA_MAGAZINE_REFILL")
-        .unwrap_or(if cap == MAGAZINE_CAP_DEFAULT { MAGAZINE_REFILL_DEFAULT } else { cap / 2 })
-        .clamp(1, cap);
-    (cap, refill)
-}
+/// Capacity of a per-thread free-ID magazine; at this size half is flushed
+/// back to the owning shard.
+const MAGAZINE_CAP: usize = 64;
+/// Batch size of a magazine refill from a shard.
+const MAGAZINE_REFILL: usize = 32;
 
 /// The Alaska runtime.  See the [module documentation](self).
 pub struct Runtime {
@@ -100,10 +82,6 @@ pub struct Runtime {
     pause_lock: Mutex<()>,
     stats: RuntimeStats,
     handle_faults: AtomicBool,
-    /// Per-thread free-ID magazine capacity (flush threshold).
-    magazine_cap: AtomicUsize,
-    /// Batch size of a magazine refill from a shard.
-    magazine_refill: AtomicUsize,
     /// Installed at most once; `None` means telemetry is disabled and every
     /// instrumentation site reduces to one load and an untaken branch.
     telemetry: OnceLock<RuntimeTelemetry>,
@@ -198,7 +176,6 @@ impl Runtime {
     /// share the space with non-handle allocations).
     pub fn with_vm(vm: VirtualMemory, mut service: Box<dyn Service>) -> Self {
         service.init(&ServiceContext { vm: vm.clone() });
-        let (cap, refill) = magazine_sizing_from_env();
         Runtime {
             id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
             vm,
@@ -209,28 +186,8 @@ impl Runtime {
             pause_lock: Mutex::new(()),
             stats: RuntimeStats::new(),
             handle_faults: AtomicBool::new(false),
-            magazine_cap: AtomicUsize::new(cap),
-            magazine_refill: AtomicUsize::new(refill),
             telemetry: OnceLock::new(),
         }
-    }
-
-    /// Set the per-thread free-ID magazine sizing: `cap` is the flush
-    /// threshold (clamped to 2..=4096), `refill` the batch reserved from a
-    /// shard on an empty magazine (clamped to 1..=cap).  Takes effect on the
-    /// next refill/flush of each thread's magazine; existing contents are
-    /// untouched.  Returns the effective `(cap, refill)` after clamping.
-    pub fn set_magazine_sizing(&self, cap: usize, refill: usize) -> (usize, usize) {
-        let cap = cap.clamp(*MAGAZINE_CAP_RANGE.start(), *MAGAZINE_CAP_RANGE.end());
-        let refill = refill.clamp(1, cap);
-        self.magazine_cap.store(cap, Ordering::Relaxed);
-        self.magazine_refill.store(refill, Ordering::Relaxed);
-        (cap, refill)
-    }
-
-    /// Current `(cap, refill)` magazine sizing.
-    pub fn magazine_sizing(&self) -> (usize, usize) {
-        (self.magazine_cap.load(Ordering::Relaxed), self.magazine_refill.load(Ordering::Relaxed))
     }
 
     /// Convenience constructor: Alaska with no movement-capable service, using
@@ -362,9 +319,8 @@ impl Runtime {
             return Some(HandleId(id));
         }
         let hint = t.id as usize % self.table.shard_count();
-        let refill = self.magazine_refill.load(Ordering::Relaxed);
         if faultline::fire!("magazine.refill")
-            || self.table.reserve_ids(hint, refill, &mut mag) == 0
+            || self.table.reserve_ids(hint, MAGAZINE_REFILL, &mut mag) == 0
         {
             return None;
         }
@@ -377,10 +333,9 @@ impl Runtime {
     fn release_id(&self, t: &ThreadCtx, id: HandleId) {
         let mut mag = t.magazine.borrow_mut();
         mag.push(id.0);
-        let cap = self.magazine_cap.load(Ordering::Relaxed);
-        if mag.len() >= cap {
+        if mag.len() >= MAGAZINE_CAP {
             // Flush the cold (oldest) half, keep the hot LIFO end.
-            let surplus: Vec<u32> = mag.drain(..cap / 2).collect();
+            let surplus: Vec<u32> = mag.drain(..MAGAZINE_CAP / 2).collect();
             self.table.restock_ids(&surplus);
             ThreadHotStats::bump(&t.hot.magazine_flushes);
         }
@@ -475,8 +430,8 @@ impl Runtime {
     /// Claiming the entry is a CAS into the poisoned quarantine state, so of
     /// two racing frees exactly one succeeds and the other gets a typed
     /// verdict.  The freed ID parks in this thread's magazine for reuse;
-    /// surplus beyond the magazine capacity ([`Runtime::set_magazine_sizing`])
-    /// is flushed back to the owning shard in a batch.
+    /// surplus beyond the magazine capacity (64 IDs) is flushed back to the
+    /// owning shard in a batch.
     ///
     /// # Errors
     ///

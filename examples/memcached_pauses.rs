@@ -7,106 +7,26 @@
 //!
 //! Run with: `cargo run --example memcached_pauses --release`
 
-use alaska::telemetry::MetricValue;
-use alaska::{AlaskaBuilder, Telemetry};
-use alaska_kvstore::ShardedStore;
-use alaska_runtime::telemetry_names;
-use alaska_ycsb::{LatencyHistogram, Op, Workload, WorkloadConfig, WorkloadKind};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-struct RunOutcome {
-    mean_us: f64,
-    p99_us: f64,
-    pauses: u64,
-    hub: Arc<Telemetry>,
-}
-
-fn run(threads: usize, pause_every: Option<Duration>) -> RunOutcome {
-    let hub = Arc::new(Telemetry::new());
-    let rt = Arc::new(AlaskaBuilder::new().with_anchorage().with_telemetry(hub.clone()).build());
-    let store = Arc::new(ShardedStore::new(rt.clone(), 16));
-    for k in 0..10_000u64 {
-        store.set(k, &Workload::value_for(k, 128));
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let store = store.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let _guard = store.runtime().register_current_thread();
-                let mut wl = Workload::new(WorkloadConfig {
-                    kind: WorkloadKind::A,
-                    record_count: 10_000,
-                    value_size: 128,
-                    seed: t as u64,
-                    ..Default::default()
-                });
-                let mut hist = LatencyHistogram::new();
-                while !stop.load(Ordering::Relaxed) {
-                    let op = wl.next_op();
-                    let start = Instant::now();
-                    match op {
-                        Op::Read(k) => {
-                            let _ = store.get(k);
-                        }
-                        Op::Update(k, n) | Op::Insert(k, n) | Op::ReadModifyWrite(k, n) => {
-                            store.set(k, &Workload::value_for(k, n))
-                        }
-                    }
-                    hist.record_ns(start.elapsed().as_nanos() as u64);
-                }
-                hist
-            })
-        })
-        .collect();
-
-    let deadline = Instant::now() + Duration::from_millis(300);
-    let mut pauses = 0u64;
-    while Instant::now() < deadline {
-        match pause_every {
-            Some(interval) => {
-                store.runtime().defragment(Some(1 << 20));
-                pauses += 1;
-                std::thread::sleep(interval);
-            }
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-    stop.store(true, Ordering::Relaxed);
-
-    let mut merged = LatencyHistogram::new();
-    for w in workers {
-        merged.merge(&w.join().unwrap());
-    }
-    RunOutcome { mean_us: merged.mean_us(), p99_us: merged.percentile_us(99.0), pauses, hub }
-}
-
-/// Pull the barrier pause-time histogram out of a run's telemetry registry.
-fn pause_histogram(hub: &Telemetry) -> Option<alaska::telemetry::HistogramSnapshot> {
-    match hub.registry().snapshot().get(telemetry_names::BARRIER_PAUSE_NS) {
-        Some(MetricValue::Histogram(h)) => Some(*h),
-        _ => None,
-    }
-}
+use alaska_bench::memcached::{run_pause_experiment, PauseExperimentConfig};
 
 fn main() {
     println!("request latency (application side):");
     println!("{:>8} {:>12} {:>10} {:>10}", "threads", "pauses", "mean_us", "p99_us");
-    let mut pause_rows: Vec<(String, alaska::telemetry::HistogramSnapshot)> = Vec::new();
+    let mut paused = Vec::new();
     for threads in [2usize, 4] {
-        let r = run(threads, None);
-        println!("{threads:>8} {:>12} {:>10.1} {:>10.1}", "none", r.mean_us, r.p99_us);
-        for interval_ms in [20u64, 100] {
-            let r = run(threads, Some(Duration::from_millis(interval_ms)));
-            println!("{threads:>8} {:>9} ms {:>10.1} {:>10.1}", interval_ms, r.mean_us, r.p99_us);
-            if let Some(h) = pause_histogram(&r.hub) {
-                pause_rows.push((format!("{threads}t/{interval_ms}ms"), h));
+        for pause_interval_ms in [None, Some(20u64), Some(100)] {
+            let r = run_pause_experiment(&PauseExperimentConfig {
+                threads,
+                pause_interval_ms,
+                duration_ms: 300,
+                record_count: 10_000,
+                ..Default::default()
+            });
+            let label = pause_interval_ms.map_or("none".to_string(), |ms| format!("{ms} ms"));
+            println!("{threads:>8} {label:>12} {:>10.1} {:>10.1}", r.mean_us, r.p99_us);
+            if pause_interval_ms.is_some() {
+                paused.push(r);
             }
-            let _ = r.pauses;
         }
     }
 
@@ -116,14 +36,15 @@ fn main() {
         "{:>12} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "run", "count", "p50_us", "p90_us", "p99_us", "max_us"
     );
-    for (label, h) in &pause_rows {
+    for r in &paused {
         println!(
-            "{label:>12} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-            h.count,
-            h.p50 as f64 / 1000.0,
-            h.p90 as f64 / 1000.0,
-            h.p99 as f64 / 1000.0,
-            h.max as f64 / 1000.0
+            "{:>12} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+            format!("{}t/{}ms", r.threads, r.pause_interval_ms),
+            r.pauses,
+            r.p50_pause_us,
+            r.p90_pause_us,
+            r.p99_pause_us,
+            r.max_pause_us
         );
     }
     println!();
