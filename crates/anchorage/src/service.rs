@@ -54,13 +54,13 @@
 //!    top-down until the budget is filled, reserve every destination range
 //!    up front, and coalesce moves whose source *and* destination blocks are
 //!    adjacent into batched copy ranges.
-//! 2. **Copy** — execute the disjoint batches on a `std::thread::scope`
-//!    worker pool ([`StoppedWorld::move_batch`]); worker count comes from
-//!    `ALASKA_DEFRAG_WORKERS`, [`AnchorageConfig::defrag_workers`] or
-//!    `available_parallelism`, with a serial fallback on one core.
-//! 3. **Commit** — on the initiating thread, per moved object: free the
-//!    source block and re-key its index record from source to destination
-//!    address; then trim the source's extent and release the vacated pages.
+//! 2. **Copy** — execute the batches one after another on the pausing
+//!    thread ([`StoppedWorld::move_batch`], one bulk copy per contiguous
+//!    batch).
+//! 3. **Commit** — per moved object: free the source block and re-key its
+//!    index record from source to destination address; per object not moved,
+//!    give its destination block back; then trim the source's extent and
+//!    release the vacated pages.
 
 use crate::subheap::SubHeap;
 use alaska_faultline as faultline;
@@ -70,7 +70,7 @@ use alaska_runtime::handle::HandleId;
 use alaska_runtime::service::{DefragOutcome, PlannedMove, Service, ServiceContext, StoppedWorld};
 use alaska_telemetry::{Counter, Event, Gauge, Histogram, Telemetry, TelemetrySink};
 use std::cell::RefCell;
-use std::collections::{btree_map::Entry, BTreeMap, HashSet};
+use std::collections::{btree_map::Entry, BTreeMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -145,11 +145,6 @@ pub struct AnchorageConfig {
     /// runtime's pressure-recovery path (shed + defragment + retry) takes
     /// over.  `None` (the default) means unbounded.
     pub max_heap_bytes: Option<u64>,
-    /// Worker threads for the parallel copy phase of a defrag pass.  `None`
-    /// (the default) sizes the pool from `available_parallelism`; the
-    /// `ALASKA_DEFRAG_WORKERS` env var overrides both.  Clamped to 1..=64;
-    /// 1 means the serial fallback.
-    pub defrag_workers: Option<usize>,
 }
 
 impl Default for AnchorageConfig {
@@ -158,7 +153,6 @@ impl Default for AnchorageConfig {
             subheap_capacity: DEFAULT_SUBHEAP_CAPACITY,
             rotate_threshold: 1.2,
             max_heap_bytes: None,
-            defrag_workers: None,
         }
     }
 }
@@ -294,19 +288,6 @@ impl Shared {
         if let Some(tel) = self.telemetry.get() {
             tel.released.add(bytes);
         }
-    }
-
-    /// Effective copy-phase worker count for one pass: the
-    /// `ALASKA_DEFRAG_WORKERS` env var, then [`AnchorageConfig::defrag_workers`],
-    /// then `available_parallelism`, clamped to 1..=64.  Read per pass — the
-    /// pause path is cold — so tests and CI can force it with the env var.
-    fn effective_defrag_workers(&self) -> usize {
-        std::env::var("ALASKA_DEFRAG_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .or(self.config.defrag_workers)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .clamp(1, 64)
     }
 }
 
@@ -619,73 +600,31 @@ impl Arena {
         outcome.copy_batches = batches.len() as u64;
         outcome.plan_ns = plan_start.elapsed().as_nanos() as u64;
 
-        // ---- Copy: apply disjoint batches, on a scoped worker pool when both
-        // the pool size and the plan warrant it.  A `defrag.copy` fault defers
-        // that batch to the initiating thread (degrade, don't abort the pause).
+        // ---- Copy: apply the batches in order on this thread.  A
+        // `defrag.copy` fault skips a batch: its objects stay at their source
+        // and commit gives their destination blocks back.
         let copy_start = Instant::now();
-        let batch_count = batches.len();
-        let workers = cx.effective_defrag_workers().min(batch_count);
-        let deferred: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let failed: Mutex<Vec<HandleId>> = Mutex::new(Vec::new());
-        let batches_ref = &batches;
-        let moves_ref = &moves;
-        let deferred_ref = &deferred;
-        let failed_ref = &failed;
-        let apply_batch = move |bi: usize| {
+        outcome.copy_workers = u64::from(!batches.is_empty());
+        let mut failed: Vec<HandleId> = Vec::new();
+        for &(s, e) in &batches {
             if faultline::fire!("defrag.copy") {
-                deferred_ref.lock().expect("defrag deferred list").push(bi);
-                return;
+                failed.extend(moves[s..e].iter().map(|mv| mv.id));
+            } else {
+                failed.extend(world.move_batch(&moves[s..e]).failed);
             }
-            let (s, e) = batches_ref[bi];
-            let applied = world.move_batch(&moves_ref[s..e]);
-            if !applied.failed.is_empty() {
-                failed_ref.lock().expect("defrag failed list").extend(applied.failed);
-            }
-        };
-        if workers <= 1 {
-            outcome.copy_workers = u64::from(batch_count > 0);
-            for bi in 0..batch_count {
-                apply_batch(bi);
-            }
-        } else {
-            outcome.copy_workers = workers as u64;
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let apply_batch = &apply_batch;
-                    scope.spawn(move || {
-                        // Workers are plain scoped threads: they never touch
-                        // the runtime's safepoint machinery, only the handle
-                        // table's atomic entry words through `move_batch`.
-                        let mut bi = w;
-                        while bi < batch_count {
-                            apply_batch(bi);
-                            bi += workers;
-                        }
-                    });
-                }
-            });
         }
-        // Degraded batches run serially on the initiating thread.
-        let deferred = std::mem::take(&mut *deferred.lock().expect("defrag deferred list"));
-        outcome.batches_degraded = deferred.len() as u64;
-        for bi in deferred {
-            let (s, e) = batches[bi];
-            let applied = world.move_batch(&moves[s..e]);
-            failed.lock().expect("defrag failed list").extend(applied.failed);
-        }
-        let failed: HashSet<HandleId> =
-            failed.into_inner().expect("defrag failed list").into_iter().collect();
         outcome.copy_ns = copy_start.elapsed().as_nanos() as u64;
 
-        // ---- Commit: fold bookkeeping back in on the initiating thread.
+        // ---- Commit: fold bookkeeping back in.
         let commit_start = Instant::now();
         // Read before the frees below: freeing the top victim lowers the
         // cursor, and its pages must still be released.
         let source_extent = self.subheaps[source].extent();
         for mv in &moves {
             if failed.contains(&mv.id) {
-                // Could not move after all (defensive; nothing can free an
-                // entry under the pause): give the destination block back.
+                // Not moved: its batch was skipped, or `move_batch` refused
+                // it (defensive; nothing can free an entry under the pause).
+                // Give the destination block back.
                 let dst = cx.owners.find(mv.dst).expect("a destination lies in a sub-heap");
                 self.subheaps[dst.local].free(mv.dst, mv.len);
                 continue;
@@ -1588,13 +1527,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_copy_uses_multiple_workers_and_reports_phase_timings() {
+    fn serial_copy_coalesces_batches_and_reports_phase_timings() {
         let vm = VirtualMemory::default();
-        let cfg = AnchorageConfig {
-            subheap_capacity: 1 << 20,
-            defrag_workers: Some(4),
-            ..Default::default()
-        };
+        let cfg = AnchorageConfig { subheap_capacity: 1 << 20, ..Default::default() };
         let rt = Runtime::with_vm(vm.clone(), Box::new(AnchorageService::with_config(vm, cfg)));
         let mut handles = Vec::new();
         for i in 0..2000u64 {
@@ -1621,14 +1556,10 @@ mod tests {
             outcome.copy_batches,
             outcome.objects_moved
         );
-        assert!(
-            outcome.copy_workers >= 2,
-            "a 4-worker config with many batches must fan out (got {})",
-            outcome.copy_workers
-        );
+        assert_eq!(outcome.copy_workers, 1, "batches are copied on the pausing thread");
         assert!(outcome.plan_ns > 0 && outcome.copy_ns > 0 && outcome.commit_ns > 0);
         for (h, v) in survivors {
-            assert_eq!(rt.read_u64(h, 0), v, "survivor data survives the parallel copy");
+            assert_eq!(rt.read_u64(h, 0), v, "survivor data survives the copy");
         }
         rt.verify_table_invariants().unwrap();
     }

@@ -302,9 +302,18 @@ mod tests {
         assert!(r.operations > 0);
         assert!(r.pauses > 0);
         assert!(r.mean_us > 0.0);
-        assert!(r.p99_us >= r.mean_us * 0.5);
-        assert!(r.p99_pause_us >= r.p50_pause_us, "histogram percentiles must be ordered");
+        // A few descheduled operations can carry the mean past the p99 when
+        // threads outnumber cores, so only what the histogram guarantees is
+        // checked: `percentile` is monotone in `p` and clamped to `[min, max]`.
+        assert!(r.p99_us > 0.0);
+        assert!(
+            r.p50_pause_us <= r.p90_pause_us
+                && r.p90_pause_us <= r.p99_pause_us
+                && r.p99_pause_us <= r.max_pause_us,
+            "histogram percentiles must be ordered: {r:?}"
+        );
         assert!(r.max_pause_us > 0.0, "pauses ran, so the registry histogram must be populated");
+        assert!(r.mean_pause_us > 0.0, "pauses ran, so the harness stopwatch saw them");
         assert!(r.magazine_refills > 0, "allocating workers must refill their ID magazines");
         assert!(r.fast_path_translations > 0, "reads must translate on the lock-free fast path");
     }

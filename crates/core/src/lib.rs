@@ -215,18 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_defrag_workers() {
-        // The copy pool is sized in the Anchorage config; the runtime still
-        // builds and defragments when the pool is configured.
-        let cfg = AnchorageConfig { defrag_workers: Some(2), ..Default::default() };
-        let rt = AlaskaBuilder::new().with_anchorage_config(cfg).build();
-        let h = rt.halloc(64).unwrap();
-        rt.write_u64(h, 0, 9);
-        rt.defragment(None);
-        assert_eq!(rt.read_u64(h, 0), 9);
-    }
-
-    #[test]
     fn custom_service_is_accepted() {
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         // A service synchronises itself; for a bump pointer and a byte count

@@ -1199,8 +1199,13 @@ mod tests {
                         }
                     }
                     drop(outbox);
-                    for theirs in inbox.iter().take(to_release as usize) {
-                        t.release(theirs);
+                    // Drain until the sender hangs up, so no `send` ever
+                    // meets a dropped receiver; release only the quota.
+                    for theirs in inbox.iter() {
+                        if to_release > 0 {
+                            t.release(theirs);
+                            to_release -= 1;
+                        }
                     }
                 });
             }

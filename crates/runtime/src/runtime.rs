@@ -802,7 +802,6 @@ impl Runtime {
         RuntimeStats::add(&self.stats.defrag_copy_ns, outcome.copy_ns);
         RuntimeStats::add(&self.stats.defrag_commit_ns, outcome.commit_ns);
         RuntimeStats::add(&self.stats.defrag_copy_batches, outcome.copy_batches);
-        RuntimeStats::add(&self.stats.defrag_batches_degraded, outcome.batches_degraded);
         if let Some(tel) = self.telemetry.get() {
             tel.record_defrag(
                 budget_bytes,

@@ -57,11 +57,9 @@ pub struct DefragOutcome {
     /// Coalesced copy batches executed (0 for services that move one object
     /// at a time).
     pub copy_batches: u64,
-    /// Workers that executed copy batches (1 = serial path).
+    /// Threads that executed copy batches: 1 when the pass copied anything,
+    /// else 0.
     pub copy_workers: u64,
-    /// Copy batches that degraded to the initiating thread after a worker
-    /// fault.
-    pub batches_degraded: u64,
 }
 
 /// A backing-memory service plugged into the Alaska runtime.
@@ -293,12 +291,9 @@ impl<'a> StoppedWorld<'a> {
     /// backed at their planned `src` are skipped and reported in
     /// [`BatchApply::failed`]; the rest are moved.
     ///
-    /// Takes `&self` so a worker pool can apply disjoint batches
-    /// concurrently (`std::thread::scope` over `&StoppedWorld`): entry words
-    /// are atomic, [`VirtualMemory`] serialises its own copies, and the
-    /// stats cells are atomic counters.  Callers must guarantee batches are
-    /// pairwise disjoint — no two batches may share a handle, and no batch's
-    /// destination range may overlap another batch's source or destination.
+    /// As for [`move_object`](Self::move_object), the destinations must
+    /// already be owned by the calling service and must not overlap live
+    /// objects — the runtime cannot check that.
     /// When every entry is movable and [`batch_is_contiguous`] holds, the
     /// whole batch is copied with one bulk `vm.copy`.
     pub fn move_batch(&self, moves: &[PlannedMove]) -> BatchApply {

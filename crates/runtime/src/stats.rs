@@ -139,8 +139,6 @@ define_stats! {
     defrag_commit_ns,
     /// Coalesced copy batches executed across all defrag passes.
     defrag_copy_batches,
-    /// Copy batches degraded to the serial path after a worker fault.
-    defrag_batches_degraded,
 }
 
 impl RuntimeStats {

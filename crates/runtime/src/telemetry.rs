@@ -51,8 +51,6 @@ pub mod names {
     pub const DEFRAG_COPY_NS: &str = "alaska_defrag_phase_copy_ns";
     /// Histogram of nanoseconds spent committing bookkeeping per defrag pass.
     pub const DEFRAG_COMMIT_NS: &str = "alaska_defrag_phase_commit_ns";
-    /// Gauge of workers that executed copy batches in the latest defrag pass.
-    pub const DEFRAG_COPY_WORKERS: &str = "alaska_defrag_copy_workers";
 }
 
 /// Resolved metric handles for the runtime's instrumentation sites.
@@ -66,7 +64,6 @@ pub(crate) struct RuntimeTelemetry {
     defrag_plan_ns: Arc<Histogram>,
     defrag_copy_ns: Arc<Histogram>,
     defrag_commit_ns: Arc<Histogram>,
-    defrag_copy_workers: Arc<Gauge>,
     rss_bytes: Arc<Gauge>,
     fragmentation: Arc<Gauge>,
     /// Safepoint-poll total as of the previous barrier, for batched
@@ -86,7 +83,6 @@ impl RuntimeTelemetry {
             defrag_plan_ns: registry.histogram(names::DEFRAG_PLAN_NS),
             defrag_copy_ns: registry.histogram(names::DEFRAG_COPY_NS),
             defrag_commit_ns: registry.histogram(names::DEFRAG_COMMIT_NS),
-            defrag_copy_workers: registry.gauge(names::DEFRAG_COPY_WORKERS),
             rss_bytes: registry.gauge(names::RSS_BYTES),
             fragmentation: registry.gauge(names::FRAGMENTATION_RATIO),
             last_safepoint_polls: AtomicU64::new(0),
@@ -121,7 +117,6 @@ impl RuntimeTelemetry {
         self.defrag_plan_ns.record(outcome.plan_ns);
         self.defrag_copy_ns.record(outcome.copy_ns);
         self.defrag_commit_ns.record(outcome.commit_ns);
-        self.defrag_copy_workers.set_u64(outcome.copy_workers);
         self.rss_bytes.set_u64(rss_bytes);
         self.fragmentation.set(fragmentation);
         self.hub.emit(Event::DefragPass {

@@ -152,7 +152,7 @@ fn every_armed_site_yields_a_typed_error_or_clean_retry() {
 
     // defrag.plan / defrag.move / defrag.copy / defrag.commit /
     // subheap.rotate: Anchorage sheds the faulted portion of the pass —
-    // an abandoned plan, a truncated victim list, a degraded copy batch,
+    // an abandoned plan, a truncated victim list, a skipped copy batch,
     // a skipped trim — and completes without error.
     for site in ["defrag.plan", "defrag.move", "defrag.copy", "defrag.commit", "subheap.rotate"] {
         let (rt, live) = fragmented_runtime();
@@ -165,43 +165,61 @@ fn every_armed_site_yields_a_typed_error_or_clean_retry() {
     }
 }
 
-#[test]
-fn copy_worker_faults_degrade_batches_without_aborting_the_pass() {
-    let _serial = chaos_lock();
-    let cfg = AnchorageConfig { defrag_workers: Some(4), ..Default::default() };
-    let rt = AlaskaBuilder::new().with_anchorage_config(cfg).build();
-    let mut handles = Vec::new();
-    for i in 0..800u64 {
-        let h = rt.halloc(256).unwrap();
-        rt.write_u64(h, 0, i);
-        handles.push(h);
-    }
+/// A runtime with telemetry whose heap holds runs of three 256-byte survivors
+/// between runs of three freed blocks, so a pass coalesces the survivors into
+/// multi-object batches.
+fn runs_of_three_runtime() -> (alaska::Runtime, Arc<Telemetry>, Vec<(u64, u64)>) {
+    let hub = Arc::new(Telemetry::new());
+    let rt = AlaskaBuilder::new().with_anchorage().with_telemetry(Arc::clone(&hub)).build();
+    let handles: Vec<u64> = (0..900).map(|_| rt.halloc(256).unwrap()).collect();
     let mut survivors = Vec::new();
-    for (i, h) in handles.into_iter().enumerate() {
-        if i % 4 == 0 {
-            survivors.push((h, i as u64));
-        } else {
+    for (i, h) in (0..).zip(handles) {
+        if i % 6 < 3 {
             rt.hfree(h).unwrap();
+        } else {
+            rt.write_u64(h, 0, i);
+            survivors.push((h, i));
         }
     }
+    (rt, hub, survivors)
+}
 
-    // Fault a handful of copy batches: each faulted batch must fall back to
-    // the serial path on the initiating thread, not abort the pass.
-    let _arm = faultline::arm_scoped("defrag.copy", FaultAction::Error, Some(3));
-    let outcome = rt.defragment(None);
-    assert!(outcome.objects_moved > 0, "the degraded pass still defragments");
+#[test]
+fn a_copy_fault_skips_one_batch_and_leaves_its_objects_in_place() {
+    let _serial = chaos_lock();
+    let (clean, clean_hub, clean_survivors) = runs_of_three_runtime();
+    let (faulted, _, survivors) = runs_of_three_runtime();
+
+    let expected = clean.defragment(None);
+    let largest_batch = clean_hub
+        .registry()
+        .histogram(alaska::anchorage::service::names::DEFRAG_BATCH_OBJECTS)
+        .max();
+    let outcome = {
+        let _arm = faultline::arm_scoped("defrag.copy", FaultAction::Error, Some(1));
+        faulted.defragment(None)
+    };
+
+    assert_eq!(outcome.copy_batches, expected.copy_batches, "both passes plan the same batches");
+    assert!(largest_batch >= 2, "survivor runs must coalesce, largest batch {largest_batch}");
     assert!(
-        outcome.batches_degraded >= 1,
-        "armed copy faults must degrade batches, outcome: {outcome:?}"
+        outcome.objects_moved < expected.objects_moved
+            && outcome.objects_moved + largest_batch >= expected.objects_moved,
+        "one skipped batch: {} moved against {} clean, largest batch {largest_batch}",
+        outcome.objects_moved,
+        expected.objects_moved
     );
-    assert!(
-        outcome.batches_degraded <= outcome.copy_batches,
-        "degraded batches are a subset of all batches"
-    );
-    for &(h, expect) in &survivors {
-        assert_eq!(rt.read_u64(h, 0), expect, "degraded copy corrupted an object");
+    for (rt, survivors) in [(&clean, &clean_survivors), (&faulted, &survivors)] {
+        for &(h, expect) in survivors {
+            assert_eq!(rt.read_u64(h, 0), expect, "a skipped batch corrupted an object");
+        }
+        rt.verify_table_invariants().unwrap();
     }
-    rt.verify_table_invariants().unwrap();
+    assert_eq!(
+        faulted.service_stats().live_bytes,
+        clean.service_stats().live_bytes,
+        "a skipped batch changes no live byte count"
+    );
 }
 
 #[test]

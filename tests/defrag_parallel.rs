@@ -1,17 +1,18 @@
-//! Stress tests for the parallel plan → copy → commit defragmenter.
+//! Stress tests for the plan → copy → commit defragmenter under parallel
+//! mutators.
 //!
 //! These race mutator threads (allocating, freeing, reading, and *pinning*
-//! objects) against repeated defragmentation passes that run their copy phase
-//! on a worker pool, with copy-phase faults armed part of the time.  The
-//! contract: pinned objects never move, survivor data is never corrupted,
-//! budget slicing keeps bounding each pass, faulted copy batches degrade to
-//! the serial path instead of aborting, and the handle table stays
-//! structurally sound throughout.
+//! objects) against repeated defragmentation passes, with plan- and
+//! copy-phase faults armed part of the time.  The contract: pinned objects
+//! never move, survivor data is never corrupted, budget slicing keeps
+//! bounding each pass, a faulted copy batch is skipped (its objects stay put)
+//! instead of aborting the pass, and the handle table stays structurally
+//! sound throughout.
 //!
 //! Failpoints are process-global; the tests in this binary serialize on
 //! [`stress_lock`] (same pattern as `tests/chaos.rs`).
 
-use alaska::{AlaskaBuilder, AlaskaError, AnchorageConfig};
+use alaska::{AlaskaBuilder, AlaskaError};
 use alaska_faultline::{self as faultline, FaultAction};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -40,12 +41,11 @@ impl Lcg {
 }
 
 fn parallel_runtime() -> Arc<alaska::Runtime> {
-    let cfg = AnchorageConfig { defrag_workers: Some(4), ..Default::default() };
-    Arc::new(AlaskaBuilder::new().with_anchorage_config(cfg).build())
+    Arc::new(AlaskaBuilder::new().with_anchorage().build())
 }
 
 #[test]
-fn mutators_pins_faults_and_budget_slices_race_the_worker_pool() {
+fn mutators_pins_faults_and_budget_slices_race_defrag_passes() {
     let _serial = stress_lock();
     let rt = parallel_runtime();
     rt.set_barrier_deadline(Duration::from_millis(100));
@@ -53,8 +53,8 @@ fn mutators_pins_faults_and_budget_slices_race_the_worker_pool() {
     const ROUNDS: usize = 6;
     const WORKERS: usize = 4;
     for round in 0..ROUNDS {
-        // Half the rounds run with copy/move faults armed so degraded
-        // batches interleave with clean parallel ones.
+        // Half the rounds run with copy/move faults armed so skipped
+        // batches interleave with clean ones.
         if round % 2 == 0 {
             faultline::arm("defrag.copy", FaultAction::Error, Some(2));
             faultline::arm("defrag.move", FaultAction::Error, Some(1));
@@ -99,7 +99,7 @@ fn mutators_pins_faults_and_budget_slices_race_the_worker_pool() {
                     }
                     // Periodically hold a pin across a stretch of work: the
                     // planner must route around the pinned object while the
-                    // pool moves its neighbours.
+                    // pass moves its neighbours.
                     if !held.is_empty() && rng.below(4) == 0 {
                         let h = held[rng.below(held.len() as u64) as usize];
                         let pin = rt.pin(h).expect("live handle pins");
@@ -129,7 +129,7 @@ fn mutators_pins_faults_and_budget_slices_race_the_worker_pool() {
         }
 
         // Alternate tightly budgeted slices with unbudgeted passes; budgeted
-        // slices must stay bounded even when the copy phase fans out.
+        // slices must stay bounded while mutators keep allocating.
         for pass in 0..4 {
             let budget = if pass % 2 == 0 { Some(32 * 1024) } else { None };
             let outcome = rt.defragment(budget);
@@ -145,7 +145,7 @@ fn mutators_pins_faults_and_budget_slices_race_the_worker_pool() {
         }
         stop.store(true, Ordering::Relaxed);
         for m in mutators {
-            m.join().expect("mutator must survive the parallel copy phase");
+            m.join().expect("mutator must survive the defrag passes");
         }
 
         faultline::disarm_all();
@@ -160,7 +160,7 @@ fn mutators_pins_faults_and_budget_slices_race_the_worker_pool() {
 }
 
 #[test]
-fn forced_worker_pool_still_respects_pins_and_reports_workers() {
+fn pins_hold_across_a_pass_that_copies_on_the_pausing_thread() {
     let _serial = stress_lock();
     let rt = parallel_runtime();
     let handles: Vec<u64> = (0..1_000)
@@ -185,21 +185,13 @@ fn forced_worker_pool_still_respects_pins_and_reports_workers() {
     let outcome = rt.defragment(None);
     assert!(outcome.objects_moved > 0, "unpinned survivors must still move");
     assert!(outcome.copy_batches > 0, "moves must flow through coalesced batches");
-    // `ALASKA_DEFRAG_WORKERS` (CI pins it to 4) takes precedence over the
-    // config's pool size; either way the pass reports a pool when more than
-    // one batch was available.
-    if outcome.copy_batches >= 2 {
-        assert!(
-            outcome.copy_workers >= 1,
-            "a pass with batches must report its worker count, outcome: {outcome:?}"
-        );
-    }
+    assert_eq!(outcome.copy_workers, 1, "one thread copies the batches, outcome: {outcome:?}");
     for (pin, addr) in pins.iter().zip(&pinned_addrs) {
         assert_eq!(pin.addr(), *addr, "pinned address changed across the pass");
     }
     drop(pins);
     for &(h, expect) in &survivors {
-        assert_eq!(rt.read_u64(h, 0), expect, "survivor corrupted by the worker pool");
+        assert_eq!(rt.read_u64(h, 0), expect, "survivor corrupted by the pass");
     }
     rt.verify_table_invariants().unwrap();
 }

@@ -113,7 +113,6 @@ fn uninstrumented_runs_are_unchanged() {
     assert_eq!(a.objects_skipped_pinned, b.objects_skipped_pinned);
     assert_eq!(a.copy_batches, b.copy_batches, "batch coalescing must be deterministic");
     assert_eq!(a.copy_workers, b.copy_workers);
-    assert_eq!(a.batches_degraded, b.batches_degraded);
     let sa = with_hub.stats();
     let sb = without_hub.stats();
     assert_eq!(sa.objects_moved, sb.objects_moved);
