@@ -10,8 +10,7 @@
 //! The service is a fixed array of **arenas**, each one a complete allocator
 //! state — its sub-heaps, which of them is active, the address-ordered index
 //! of its live blocks, its statistics — behind its own lock.  The count comes
-//! from `available_parallelism` ([`arena_count`]), as the handle table's shard
-//! count does.
+//! from `available_parallelism` ([`arena_count`]).
 //!
 //! * **Allocation** goes to the arena named by the calling thread's *slot*: a
 //!   number the service hands the thread on its first allocation (0, 1, 2, …

@@ -80,7 +80,7 @@ pub struct PauseExperimentResult {
     pub max_pause_us: f64,
     /// Objects moved across all pauses.
     pub objects_moved: u64,
-    /// Contended handle-table shard-lock acquisitions during the run.
+    /// Contended handle-table lock acquisitions during the run.
     pub shard_lock_contention: u64,
     /// Per-thread free-ID magazine refills during the run.
     pub magazine_refills: u64,

@@ -1,4 +1,4 @@
-//! The sharded, lock-free-read handle table (paper §4.2.1).
+//! The lock-free-read handle table (paper §4.2.1).
 //!
 //! One handle-table entry (HTE) exists per live object and stores the current
 //! address of the object's backing memory.  Translation is a single indexed
@@ -18,26 +18,23 @@
 //!   `AtomicU32`.  [`HandleTable::translate`] and [`HandleTable::load`] are a
 //!   single `Relaxed` load of the word plus an add — no lock, no CAS.  The
 //!   handle-fault path ([`HandleTable::fault_recover`]) CASes the state bits.
-//! * **ID-striped shards.**  IDs are range-striped over [`SHARD_COUNT`]
-//!   shards (`shard = id >> stride_bits`), each with its own free list, bump
-//!   cursor and mutex.  An allocation or release touches exactly one shard.
-//!   Range striping (rather than `id % N`) keeps single-threaded allocation
-//!   handing out dense sequential IDs, which preserves the paper's "active
-//!   HTE density is quite high" behaviour and the historical test
-//!   expectations.
+//! * **One pool of IDs.**  As in the paper, one free list and one bump
+//!   cursor hand out IDs, behind one mutex.  Single-threaded allocation gets
+//!   dense sequential IDs, which preserves the paper's "active HTE density
+//!   is quite high" behaviour, and an ID one thread hands back is the next
+//!   thread's to reuse.
 //! * **Batch reservation.**  [`HandleTable::reserve_ids`] /
 //!   [`HandleTable::restock_ids`] let callers (the runtime's per-thread
-//!   magazines) move IDs in and out of a shard in batches, so the common
-//!   `halloc`/`hfree` path takes no shard lock at all.
-//! * **Per-shard live counts.**  Each shard counts its live entries on cache
-//!   lines of its own ([`HandleTable::live_entries`] sums them), so threads
-//!   whose magazines draw from different shards publish and release without
-//!   writing a common word.
-//! * **Lock-free growth.**  Entry storage is a per-shard pyramid of
-//!   `OnceLock`-published segments (shard → slab → segment → `AtomicHte`),
-//!   so readers never observe a reallocation; committed segments are
-//!   immovable once published.  This is the safe-Rust analogue of the real
-//!   system `mmap`ing the whole table and relying on demand paging.
+//!   magazines) move IDs in and out of the pool in batches, so the common
+//!   `halloc`/`hfree` path takes no lock at all.
+//! * **No stored live count.**  No data path reads one, so `publish` and
+//!   `release_reserved` write only the entry, and
+//!   [`HandleTable::live_entries`] counts occupied entry words instead.
+//! * **Lock-free growth.**  Entry storage is a pyramid of
+//!   `OnceLock`-published segments (slab → segment → `AtomicHte`), so
+//!   readers never observe a reallocation; committed segments are immovable
+//!   once published.  This is the safe-Rust analogue of the real system
+//!   `mmap`ing the whole table and relying on demand paging.
 //!
 //! # Memory ordering
 //!
@@ -86,7 +83,7 @@
 //!   NULL).  Exactly one of two racing frees wins the CAS; the loser observes
 //!   `Poisoned` and gets a [`FreeFault::DoubleFree`] verdict, or
 //!   [`FreeFault::Dangling`] when the entry was never occupied at all.
-//! * A poisoned entry stays poisoned while its ID sits in a magazine or shard
+//! * A poisoned entry stays poisoned while its ID sits in a magazine or the
 //!   free list, so a **use-after-free** translate attempt in that window is
 //!   detected: [`HandleTable::load`] reports the `Poisoned` state (the runtime
 //!   maps it to a typed error + telemetry counter) and
@@ -101,14 +98,13 @@
 //!
 //! ## Barrier abort protocol
 //!
-//! A stop-the-world pause acquires every shard lock **in index order** after
-//! the cooperative barrier reports all threads stopped.  When a straggler
-//! never reaches a safepoint before the watchdog deadline, the initiator
-//! *aborts*: shard locks are released in reverse order (plain RAII drop of
-//! [`AllShardsGuard`]), threads are resumed, a `barrier_aborts` counter and
-//! trace event fire, and the pause is retried with exponential backoff.  No
-//! entry word is mutated before the barrier commits, so an aborted pause is
-//! invisible to the application.
+//! A stop-the-world pause takes the table lock only after the cooperative
+//! barrier reports all threads stopped.  When a straggler never reaches a
+//! safepoint before the watchdog deadline, the initiator *aborts* before
+//! taking it: threads are resumed, a `barrier_aborts` counter and trace event
+//! fire, and the pause is retried with exponential backoff.  No entry word is
+//! mutated before the barrier commits, so an aborted pause is invisible to
+//! the application.
 //!
 //! ## Failpoint naming
 //!
@@ -125,28 +121,6 @@ use alaska_heap::vmem::VirtAddr;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// Default number of ID-striped shards. Power of two; 16 comfortably exceeds
-/// the hardware parallelism the figure harnesses sweep (1→16 threads).
-/// Full-capacity tables ([`HandleTable::new`]) size their shard count from
-/// [`std::thread::available_parallelism`] instead — see
-/// [`auto_shard_count`].
-pub const SHARD_COUNT: usize = 16;
-
-/// Upper bound for [`auto_shard_count`]: beyond this, shard locks are no
-/// longer the bottleneck and the ID space fragments for no benefit.
-const MAX_SHARD_COUNT: usize = 256;
-
-/// Shard count derived from the machine: `available_parallelism`, rounded up
-/// to a power of two, clamped to `[SHARD_COUNT, 256]`.  Falls back to
-/// [`SHARD_COUNT`] when parallelism cannot be queried.
-pub fn auto_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(SHARD_COUNT)
-        .next_power_of_two()
-        .clamp(SHARD_COUNT, MAX_SHARD_COUNT)
-}
 
 /// Entries per segment (the unit of lazy storage commitment).
 const SEG_BITS: u32 = 12;
@@ -268,7 +242,7 @@ struct AtomicHte {
 #[derive(Debug)]
 struct Slab {
     segs: Box<[OnceLock<Box<[AtomicHte]>>]>,
-    /// Entries this slab covers (the last slab of a shard may be partial).
+    /// Entries this slab covers (the last slab may be partial).
     span: u32,
 }
 
@@ -279,58 +253,33 @@ impl Slab {
     }
 }
 
-/// Shard state that requires the shard lock: the LIFO free list and the bump
-/// cursor.
-#[derive(Debug, Default)]
-struct ShardMut {
+/// The table's lock-protected state: the LIFO free list and the bump cursor.
+/// On cache lines of its own, so a refill or flush does not evict the line
+/// every translation reads.
+#[repr(align(128))]
+#[derive(Default)]
+pub(crate) struct IdPool {
     free: Vec<u32>,
     bump: u32,
 }
 
-#[derive(Debug)]
-struct Shard {
-    /// First global ID owned by this shard.
-    base: u32,
-    slabs: Box<[OnceLock<Slab>]>,
-    inner: Mutex<ShardMut>,
-    /// Mirror of `inner.bump` readable without the lock (for heap scans).
-    bump_hwm: AtomicU32,
-    /// Live (or invalid) entries among this shard's IDs.
-    live: LiveCount,
-}
-
-/// A shard's count of live entries, on cache lines of its own.  Every
-/// `publish` and `release_reserved` writes it, and a thread's magazine draws
-/// from the thread's home shard: one table-wide counter made every
-/// `halloc`/`hfree` of every thread a write to the same line, and a counter
-/// beside `slabs` would evict the line every translation reads.  `publish`
-/// counts before its `Release` store of the word and `release_reserved` after
-/// its `Acquire` claim of it, so whichever thread releases, the count never
-/// runs below zero.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-struct LiveCount(AtomicU64);
-
 /// The handle table.  See the [module documentation](self) for the
 /// concurrency design; every method takes `&self`.
 pub struct HandleTable {
-    shards: Box<[Shard]>,
-    /// IDs per shard (power of two, identical for every shard).
-    stride: u32,
-    stride_bits: u32,
+    slabs: Box<[OnceLock<Slab>]>,
+    ids: Mutex<IdPool>,
+    /// Mirror of `ids.bump`, stored under the lock: the entries ever touched,
+    /// readable without the lock (for heap scans).
+    touched: AtomicU32,
     /// Maximum number of entries this table may hand out.
     capacity: u32,
-    /// Entries ever touched (bump allocations across all shards).
-    touched: AtomicU64,
-    /// Times a mutating path found a shard lock held and had to wait.
+    /// Times an acquisition of the table lock found it held and had to wait.
     contention: AtomicU64,
 }
 
 impl std::fmt::Debug for HandleTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HandleTable")
-            .field("shards", &self.shards.len())
-            .field("stride", &self.stride)
             .field("capacity", &self.capacity)
             .field("live", &self.live_entries())
             .field("touched", &self.touched_entries())
@@ -344,88 +293,40 @@ impl Default for HandleTable {
     }
 }
 
-/// Guard returned by [`HandleTable::lock_all`]: while it lives, every shard
-/// lock is held (in index order), so no allocation or release can run.
-#[derive(Debug)]
-pub struct AllShardsGuard<'a> {
-    _guards: Vec<MutexGuard<'a, ShardMut>>,
-}
-
 impl HandleTable {
-    /// Create a table with the architectural capacity of 2^31 entries, with
-    /// the shard count sized from the machine's parallelism (see
-    /// [`auto_shard_count`]).
+    /// Create a table with the architectural capacity of 2^31 entries.
     ///
     /// Storage commits on demand, segment by segment (the real system `mmap`s
     /// the whole table virtually and relies on demand paging; publishing
     /// fixed-size segments through `OnceLock` is the analogous lazy
     /// commitment, and it never relocates entries under concurrent readers).
     pub fn new() -> Self {
-        Self::with_shards(auto_shard_count(), MAX_ID)
+        Self::with_capacity(MAX_ID)
     }
 
     /// Create a table that refuses to grow beyond `capacity` entries — useful
-    /// for exercising the table-full path in tests.  Uses the fixed default
-    /// of [`SHARD_COUNT`] shards so ID layout is deterministic across
-    /// machines.
+    /// for exercising the table-full path in tests.
     pub fn with_capacity(capacity: u32) -> Self {
-        Self::with_shards(SHARD_COUNT, capacity)
-    }
-
-    /// Create a table with an explicit shard count (rounded up to a power of
-    /// two) and capacity.
-    pub fn with_shards(shard_count: usize, capacity: u32) -> Self {
-        let shard_count = shard_count.max(1).next_power_of_two();
         let capacity = capacity.min(MAX_ID);
-        let stride =
-            u32::try_from((u64::from(capacity).div_ceil(shard_count as u64)).next_power_of_two())
-                .expect("per-shard stride fits u32")
-                .max(1);
-        let stride_bits = stride.trailing_zeros();
-        let shards = (0..shard_count as u32)
-            .map(|s| {
-                let nslabs = stride.div_ceil(SLAB_SPAN) as usize;
-                Shard {
-                    base: s * stride,
-                    slabs: (0..nslabs).map(|_| OnceLock::new()).collect(),
-                    inner: Mutex::new(ShardMut::default()),
-                    bump_hwm: AtomicU32::new(0),
-                    live: LiveCount::default(),
-                }
-            })
-            .collect();
         HandleTable {
-            shards,
-            stride,
-            stride_bits,
+            slabs: (0..capacity.div_ceil(SLAB_SPAN)).map(|_| OnceLock::new()).collect(),
+            ids: Mutex::default(),
+            touched: AtomicU32::new(0),
             capacity,
-            touched: AtomicU64::new(0),
             contention: AtomicU64::new(0),
         }
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of live entries: the per-shard counts, summed.  Exact when no
-    /// `publish`/`release` runs meanwhile; otherwise each shard's term is a
-    /// value its count held during the call.
+    /// Number of live (or invalid) entries, counted from the entry words.
+    /// Exact when no `publish`/`release` runs meanwhile; otherwise each entry
+    /// is counted as its word stood when the scan read it.
     pub fn live_entries(&self) -> u64 {
-        self.shards.iter().map(|s| s.live.0.load(Ordering::Relaxed)).sum()
+        self.occupied_ids().count() as u64
     }
 
-    /// The count of live entries that covers `id`.
-    #[inline]
-    fn live_count(&self, id: u32) -> &AtomicU64 {
-        &self.shards[(id >> self.stride_bits) as usize].live.0
-    }
-
-    /// Number of entries ever touched (the bump high-water mark, summed over
-    /// shards).
+    /// Number of entries ever touched (the bump high-water mark).
     pub fn touched_entries(&self) -> u64 {
-        self.touched.load(Ordering::Relaxed)
+        u64::from(self.touched.load(Ordering::Acquire))
     }
 
     /// Approximate metadata overhead in bytes: touched entries times the
@@ -435,8 +336,8 @@ impl HandleTable {
         self.touched_entries() * std::mem::size_of::<AtomicHte>() as u64
     }
 
-    /// Times a mutating path (allocate/release/restock) found a shard lock
-    /// held by another thread.
+    /// Times an acquisition of the table lock found it held by another
+    /// thread.
     pub fn contention_events(&self) -> u64 {
         self.contention.load(Ordering::Relaxed)
     }
@@ -445,104 +346,58 @@ impl HandleTable {
     // Storage pyramid
     // ------------------------------------------------------------------
 
-    /// Lock-free lookup of the entry for a global `id`; `None` when the ID is
-    /// out of range or its segment was never committed.
+    /// Lock-free lookup of the entry for `id`; `None` when the ID is out of
+    /// range or its segment was never committed.
     #[inline]
     fn entry(&self, id: u32) -> Option<&AtomicHte> {
-        let s = (id >> self.stride_bits) as usize;
-        let shard = self.shards.get(s)?;
-        let local = id & (self.stride - 1);
-        let slab = shard.slabs.get((local >> SLAB_SPAN_BITS) as usize)?.get()?;
-        let seg = slab.segs[((local >> SEG_BITS) & (SLAB_SEGS - 1)) as usize].get()?;
-        seg.get((local & (SEG_LEN - 1)) as usize)
+        let slab = self.slabs.get((id >> SLAB_SPAN_BITS) as usize)?.get()?;
+        let seg = slab.segs[((id >> SEG_BITS) & (SLAB_SEGS - 1)) as usize].get()?;
+        seg.get((id & (SEG_LEN - 1)) as usize)
     }
 
-    /// Commit storage for local index `local` of shard `s` (called with the
-    /// shard lock held, but correct without it thanks to `OnceLock`).
-    fn ensure_storage(&self, s: usize, local: u32) {
-        let shard = &self.shards[s];
-        let slab_idx = (local >> SLAB_SPAN_BITS) as usize;
-        let span = (self.stride - (slab_idx as u32) * SLAB_SPAN).min(SLAB_SPAN);
-        let slab = shard.slabs[slab_idx].get_or_init(|| Slab::new(span));
-        let seg_idx = ((local >> SEG_BITS) & (SLAB_SEGS - 1)) as usize;
+    /// Commit storage for `id` (called with the table lock held, but correct
+    /// without it thanks to `OnceLock`).
+    fn ensure_storage(&self, id: u32) {
+        let slab_idx = (id >> SLAB_SPAN_BITS) as usize;
+        let span = (self.capacity - (slab_idx as u32) * SLAB_SPAN).min(SLAB_SPAN);
+        let slab = self.slabs[slab_idx].get_or_init(|| Slab::new(span));
+        let seg_idx = ((id >> SEG_BITS) & (SLAB_SEGS - 1)) as usize;
         let seg_len = (slab.span - (seg_idx as u32) * SEG_LEN).min(SEG_LEN);
         slab.segs[seg_idx].get_or_init(|| (0..seg_len).map(|_| AtomicHte::default()).collect());
     }
 
-    fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, ShardMut> {
-        if let Some(g) = shard.inner.try_lock() {
-            return g;
-        }
-        self.contention.fetch_add(1, Ordering::Relaxed);
-        shard.inner.lock()
-    }
-
-    /// Consume one entry of the global capacity budget; `false` when full.
-    fn consume_budget(&self) -> bool {
-        self.touched
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                (t < u64::from(self.capacity)).then_some(t + 1)
-            })
-            .is_ok()
-    }
-
     // ------------------------------------------------------------------
-    // ID reservation (shard free lists + bump cursors)
+    // ID reservation (free list + bump cursor)
     // ------------------------------------------------------------------
 
-    /// Reserve up to `n` free IDs, preferring shard `hint`, appending them to
-    /// `out`.  Returns how many were reserved.  Reserved IDs are *not* live:
-    /// they are owned by the caller (a per-thread magazine) until passed to
-    /// [`HandleTable::publish`] or returned via [`HandleTable::restock_ids`].
-    pub fn reserve_ids(&self, hint: usize, n: usize, out: &mut Vec<u32>) -> usize {
-        let mut got = 0;
-        for step in 0..self.shards.len() {
-            if got >= n {
-                break;
-            }
-            let s = (hint + step) % self.shards.len();
-            got += self.reserve_from_shard(s, n - got, out);
-        }
-        got
-    }
-
-    /// Reserve up to `n` IDs from shard `s`: free list first, then bump.
-    fn reserve_from_shard(&self, s: usize, n: usize, out: &mut Vec<u32>) -> usize {
-        let shard = &self.shards[s];
-        let mut inner = self.lock_shard(shard);
+    /// Reserve up to `n` free IDs, free list first, then bump, appending them
+    /// to `out`.  Returns how many were reserved.  Reserved IDs are *not*
+    /// live: they are owned by the caller (a per-thread magazine) until
+    /// passed to [`HandleTable::publish`] or returned via
+    /// [`HandleTable::restock_ids`].
+    pub fn reserve_ids(&self, n: usize, out: &mut Vec<u32>) -> usize {
+        let mut ids = self.lock_ids();
         let mut got = 0;
         while got < n {
-            if let Some(id) = inner.free.pop() {
+            if let Some(id) = ids.free.pop() {
                 out.push(id);
-                got += 1;
-                continue;
-            }
-            if inner.bump >= self.stride || !self.consume_budget() {
+            } else if ids.bump < self.capacity {
+                let id = ids.bump;
+                self.ensure_storage(id);
+                ids.bump += 1;
+                self.touched.store(ids.bump, Ordering::Release);
+                out.push(id);
+            } else {
                 break;
             }
-            let local = inner.bump;
-            self.ensure_storage(s, local);
-            inner.bump += 1;
-            shard.bump_hwm.store(inner.bump, Ordering::Release);
-            out.push(shard.base + local);
             got += 1;
         }
         got
     }
 
-    /// Return reserved (or released) IDs to their owning shards' free lists.
+    /// Return reserved (or released) IDs to the free list.
     pub fn restock_ids(&self, ids: &[u32]) {
-        let mut i = 0;
-        while i < ids.len() {
-            let s = (ids[i] >> self.stride_bits) as usize;
-            let mut inner = self.lock_shard(&self.shards[s]);
-            // Batch all consecutive IDs owned by the same shard under one
-            // lock acquisition (magazines are usually shard-homogeneous).
-            while i < ids.len() && (ids[i] >> self.stride_bits) as usize == s {
-                inner.free.push(ids[i]);
-                i += 1;
-            }
-        }
+        self.lock_ids().free.extend_from_slice(ids);
     }
 
     /// Make a reserved ID live, mapping it to `backing` with `size` bytes.
@@ -557,7 +412,6 @@ impl HandleTable {
             "publish of an occupied HTE"
         );
         e.size.store(size, Ordering::Relaxed);
-        self.live_count(id.0).fetch_add(1, Ordering::Relaxed);
         e.word.store(pack(backing, STATE_LIVE), Ordering::Release);
     }
 
@@ -571,19 +425,8 @@ impl HandleTable {
     ///
     /// Returns `None` when the table is full.
     pub fn allocate(&self, backing: VirtAddr, size: u32) -> Option<HandleId> {
-        self.allocate_with_hint(backing, size, 0)
-    }
-
-    /// Like [`HandleTable::allocate`], preferring shard `hint` so unrelated
-    /// callers can spread over different shards.
-    pub fn allocate_with_hint(
-        &self,
-        backing: VirtAddr,
-        size: u32,
-        hint: usize,
-    ) -> Option<HandleId> {
         let mut one = Vec::with_capacity(1);
-        if self.reserve_ids(hint, 1, &mut one) == 0 {
+        if self.reserve_ids(1, &mut one) == 0 {
             return None;
         }
         let id = HandleId(one[0]);
@@ -613,12 +456,10 @@ impl HandleTable {
                 }
             })?;
         let size = e.size.load(Ordering::Relaxed);
-        self.live_count(id.0).fetch_sub(1, Ordering::Relaxed);
         Ok(Hte { backing: word_addr(old), size, state: decode_state(word_state(old)) })
     }
 
-    /// Release the entry for `id`, putting it on its shard's free list for
-    /// reuse.
+    /// Release the entry for `id`, putting it on the free list for reuse.
     ///
     /// # Panics
     ///
@@ -757,23 +598,16 @@ impl HandleTable {
     // Scans and whole-table operations
     // ------------------------------------------------------------------
 
-    /// All live entry IDs (heap scan), shard by shard.
-    pub fn live_ids(&self) -> Vec<HandleId> {
-        (0..self.shards.len()).flat_map(|s| self.live_ids_in_shard(s)).collect()
+    /// IDs below the bump mirror whose entry is live or invalid.
+    fn occupied_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.touched.load(Ordering::Acquire)).filter(|&id| {
+            self.entry(id).is_some_and(|e| word_occupied(e.word.load(Ordering::Relaxed)))
+        })
     }
 
-    /// Live entry IDs owned by shard `s` — lets services scan the table one
-    /// shard at a time instead of as one flat array.
-    pub fn live_ids_in_shard(&self, s: usize) -> Vec<HandleId> {
-        let shard = &self.shards[s];
-        let hwm = shard.bump_hwm.load(Ordering::Acquire);
-        (0..hwm)
-            .filter_map(|local| {
-                let id = shard.base + local;
-                let e = self.entry(id)?;
-                word_occupied(e.word.load(Ordering::Relaxed)).then_some(HandleId(id))
-            })
-            .collect()
+    /// All live entry IDs (heap scan), in ID order.
+    pub fn live_ids(&self) -> Vec<HandleId> {
+        self.occupied_ids().map(HandleId).collect()
     }
 
     /// Density of live entries among touched entries, in `[0, 1]` — the
@@ -787,96 +621,67 @@ impl HandleTable {
         }
     }
 
-    /// Acquire every shard lock in index order.  While the returned guard
-    /// lives no ID can be reserved or restocked; the stop-the-world barrier
-    /// holds this across a defragmentation pass so shard state is quiescent.
-    /// (Entry *words* are still atomically mutable — that is how movers update
-    /// backings while stragglers translate.)
-    pub fn lock_all(&self) -> AllShardsGuard<'_> {
-        AllShardsGuard { _guards: self.shards.iter().map(|s| s.inner.lock()).collect() }
+    /// Take the table lock, counting the acquisitions that had to wait.
+    /// While the guard lives no ID can be reserved or restocked; the
+    /// stop-the-world barrier holds it across a pass.  Entry
+    /// *words* stay atomically mutable — that is how movers update backings
+    /// while stragglers translate.
+    ///
+    /// The guard does not keep mutators from allocating or freeing: a
+    /// magazine `halloc`/`hfree` takes no table lock.  What keeps them out
+    /// of a pass is that registered threads are parked, that `halloc`/`hfree`
+    /// poll a safepoint before they touch anything (so one that starts
+    /// during a pause parks until it ends), and, for a thread in external
+    /// code that passed its poll before the pause began, that Anchorage's
+    /// pass holds every arena lock.
+    pub(crate) fn lock_ids(&self) -> MutexGuard<'_, IdPool> {
+        if let Some(g) = self.ids.try_lock() {
+            return g;
+        }
+        self.contention.fetch_add(1, Ordering::Relaxed);
+        self.ids.lock()
     }
 
     /// Walk the whole table and check its structural invariants, returning a
     /// description of the first violation found.  The chaos suite runs this
     /// after every injected fault.
     ///
-    /// Checked per shard (with every shard lock held, acquired in index
-    /// order):
+    /// Checked with the table lock held, so every check is valid under any
+    /// concurrency:
     ///
-    /// * the bump cursor never exceeds the shard stride, and the lock-free
-    ///   `bump_hwm` mirror matches it exactly;
-    /// * every free-list ID is owned by the shard, below the bump cursor,
-    ///   not duplicated, and its entry is `Free` or `Poisoned` — never
-    ///   `Live`/`Invalid` (that would be an entry simultaneously allocatable
-    ///   and occupied);
+    /// * the bump cursor never exceeds the capacity, and its lock-free
+    ///   mirror equals it exactly;
+    /// * every free-list ID is below the bump cursor, not duplicated, and
+    ///   its entry is `Free` or `Poisoned` — never `Live`/`Invalid` (that
+    ///   would be an entry simultaneously allocatable and occupied);
     /// * bumped entries have committed storage.
-    ///
-    /// A shard's occupied (`Live`/`Invalid`) entries must equal its live
-    /// count, and globally the summed bump cursors must equal `touched`.
-    /// Those two checks require quiescence — no concurrent
-    /// `publish`/`release` (e.g. mutator threads parked, or the caller owns
-    /// all outstanding handles); the other checks are valid under any
-    /// concurrency.
     pub fn verify_invariants(&self) -> Result<(), String> {
-        let _all = self.lock_all();
-        let mut bump_total = 0u64;
-        for (s, shard) in self.shards.iter().enumerate() {
-            // Read shard state through the guards already held by `_all`
-            // (re-locking here would deadlock).
-            let inner = &_all._guards[s];
-            if inner.bump > self.stride {
-                return Err(format!(
-                    "shard {s}: bump {} exceeds stride {}",
-                    inner.bump, self.stride
-                ));
-            }
-            let hwm = shard.bump_hwm.load(Ordering::Acquire);
-            if hwm != inner.bump {
-                return Err(format!("shard {s}: bump_hwm {hwm} != bump {}", inner.bump));
-            }
-            bump_total += u64::from(inner.bump);
-            let mut seen = std::collections::HashSet::with_capacity(inner.free.len());
-            for &id in &inner.free {
-                if (id >> self.stride_bits) as usize != s {
-                    return Err(format!("shard {s}: free-list id {id} owned by another shard"));
-                }
-                if id - shard.base >= inner.bump {
-                    return Err(format!("shard {s}: free-list id {id} beyond bump cursor"));
-                }
-                if !seen.insert(id) {
-                    return Err(format!("shard {s}: free-list id {id} duplicated"));
-                }
-                let Some(e) = self.entry(id) else {
-                    return Err(format!("shard {s}: free-list id {id} has no storage"));
-                };
-                let state = word_state(e.word.load(Ordering::Acquire));
-                if !matches!(state, STATE_FREE | STATE_POISONED) {
-                    return Err(format!(
-                        "shard {s}: free-list id {id} is occupied (state {state})"
-                    ));
-                }
-            }
-            let mut occupied = 0u64;
-            for local in 0..inner.bump {
-                let id = shard.base + local;
-                let Some(e) = self.entry(id) else {
-                    return Err(format!("shard {s}: bumped id {id} has no committed storage"));
-                };
-                if word_occupied(e.word.load(Ordering::Acquire)) {
-                    occupied += 1;
-                }
-            }
-            let live = shard.live.0.load(Ordering::Acquire);
-            if occupied != live {
-                return Err(format!(
-                    "shard {s}: occupied entries {occupied} != live count {live} \
-                     (is the table quiescent?)"
-                ));
-            }
+        let ids = self.lock_ids();
+        if ids.bump > self.capacity {
+            return Err(format!("bump {} exceeds capacity {}", ids.bump, self.capacity));
         }
         let touched = self.touched.load(Ordering::Acquire);
-        if bump_total != touched {
-            return Err(format!("summed bump cursors {bump_total} != touched counter {touched}"));
+        if touched != ids.bump {
+            return Err(format!("bump mirror {touched} != bump {}", ids.bump));
+        }
+        let mut seen = std::collections::HashSet::with_capacity(ids.free.len());
+        for &id in &ids.free {
+            if id >= ids.bump {
+                return Err(format!("free-list id {id} beyond bump cursor"));
+            }
+            if !seen.insert(id) {
+                return Err(format!("free-list id {id} duplicated"));
+            }
+            let Some(e) = self.entry(id) else {
+                return Err(format!("free-list id {id} has no storage"));
+            };
+            let state = word_state(e.word.load(Ordering::Acquire));
+            if !matches!(state, STATE_FREE | STATE_POISONED) {
+                return Err(format!("free-list id {id} is occupied (state {state})"));
+            }
+        }
+        if let Some(id) = (0..ids.bump).find(|&id| self.entry(id).is_none()) {
+            return Err(format!("bumped id {id} has no committed storage"));
         }
         Ok(())
     }
@@ -1012,7 +817,7 @@ mod tests {
         assert_eq!(t.release_reserved(HandleId(MAX_ID - 1)), Err(FreeFault::Dangling));
         // Bumped but reserved-not-published entries are Free, also dangling.
         let mut mag = Vec::new();
-        t.reserve_ids(0, 2, &mut mag);
+        t.reserve_ids(2, &mut mag);
         assert_eq!(t.release_reserved(HandleId(mag[1])), Err(FreeFault::Dangling));
     }
 
@@ -1052,26 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_shard_count_is_power_of_two_in_range() {
-        let n = auto_shard_count();
-        assert!(n.is_power_of_two());
-        assert!((SHARD_COUNT..=256).contains(&n));
-        let t = HandleTable::new();
-        assert_eq!(t.shard_count(), n);
-    }
-
-    #[test]
-    fn explicit_shard_counts_round_up_and_stripe() {
-        let t = HandleTable::with_shards(64, 1 << 20);
-        assert_eq!(t.shard_count(), 64);
-        let a = t.allocate_with_hint(VirtAddr(0x1), 1, 0).unwrap();
-        let b = t.allocate_with_hint(VirtAddr(0x2), 1, 63).unwrap();
-        assert_ne!(a.0 >> 14, b.0 >> 14, "stride 2^14: hints land on distinct shards");
-        let t3 = HandleTable::with_shards(3, 1 << 10);
-        assert_eq!(t3.shard_count(), 4, "non-power-of-two counts round up");
-    }
-
-    #[test]
     fn verify_invariants_holds_through_churn() {
         let t = table();
         t.verify_invariants().unwrap();
@@ -1082,7 +867,7 @@ mod tests {
         }
         t.verify_invariants().unwrap();
         let mut mag = Vec::new();
-        t.reserve_ids(0, 8, &mut mag);
+        t.reserve_ids(8, &mut mag);
         t.verify_invariants().unwrap();
         t.restock_ids(&mag);
         t.verify_invariants().unwrap();
@@ -1092,7 +877,7 @@ mod tests {
     fn reserved_ids_publish_and_restock() {
         let t = table();
         let mut mag = Vec::new();
-        assert_eq!(t.reserve_ids(0, 4, &mut mag), 4);
+        assert_eq!(t.reserve_ids(4, &mut mag), 4);
         assert_eq!(t.live_entries(), 0, "reserved is not live");
         let id = HandleId(mag.pop().unwrap());
         t.publish(id, VirtAddr(0x7000), 32);
@@ -1101,24 +886,11 @@ mod tests {
         t.restock_ids(&mag);
         // Restocked IDs come back out of the free list before new bumps.
         let mut again = Vec::new();
-        t.reserve_ids(0, 3, &mut again);
+        t.reserve_ids(3, &mut again);
         let mut sorted = again.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
         assert_eq!(t.touched_entries(), 4, "no new entries were bumped");
-    }
-
-    #[test]
-    fn hints_spread_over_distinct_shards() {
-        let t = HandleTable::with_capacity(MAX_ID);
-        let a = t.allocate_with_hint(VirtAddr(0x1), 1, 0).unwrap();
-        let b = t.allocate_with_hint(VirtAddr(0x2), 1, 1).unwrap();
-        let c = t.allocate_with_hint(VirtAddr(0x3), 1, 15).unwrap();
-        let shard = |id: HandleId| id.0 >> (31 - 4); // stride 2^27, 16 shards
-        assert_eq!(shard(a), 0);
-        assert_eq!(shard(b), 1);
-        assert_eq!(shard(c), 15);
-        assert_eq!(t.live_ids().len(), 3);
     }
 
     #[test]
@@ -1146,12 +918,12 @@ mod tests {
         use std::sync::Arc;
         let t = Arc::new(HandleTable::with_capacity(1 << 16));
         let mut workers = Vec::new();
-        for w in 0..4usize {
+        for _ in 0..4 {
             let t = Arc::clone(&t);
             workers.push(std::thread::spawn(move || {
                 let mut mine = Vec::new();
                 for i in 0..2000u64 {
-                    let id = t.allocate_with_hint(VirtAddr(0x1000 + i), 8, w).unwrap();
+                    let id = t.allocate(VirtAddr(0x1000 + i), 8).unwrap();
                     mine.push(id);
                     if mine.len() > 64 {
                         t.release(mine.remove(0));
@@ -1176,9 +948,9 @@ mod tests {
         const PER_THREAD: u64 = 3_000;
         const KEPT: u64 = 17;
         let t = HandleTable::with_capacity(1 << 16);
-        // Worker `w` publishes into shard `w` and hands every ID to worker
-        // `w + 1`, which releases all but `KEPT` of them: each shard's count
-        // is raised by one thread and lowered by another, concurrently.
+        // Worker `w` publishes entries and hands every ID to worker `w + 1`,
+        // which releases all but `KEPT` of them: each entry is made live by
+        // one thread and released by another, concurrently.
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..THREADS).map(|_| mpsc::channel::<HandleId>()).unzip();
         let peak = std::thread::scope(|scope| {
@@ -1188,8 +960,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut to_release = PER_THREAD - KEPT;
                     for i in 0..PER_THREAD {
-                        let id = t.allocate_with_hint(VirtAddr(0x1000 + i), 8, w).unwrap();
-                        assert_eq!(id.0 >> t.stride_bits, w as u32, "hint {w} names the shard");
+                        let id = t.allocate(VirtAddr(0x1000 + i), 8).unwrap();
                         outbox.send(id).unwrap();
                         if to_release > 0 {
                             if let Ok(theirs) = inbox.try_recv() {
@@ -1210,8 +981,8 @@ mod tests {
                 });
             }
             drop(senders);
-            // Meanwhile the sum never exceeds what was published: no shard's
-            // count wraps below zero.
+            // Meanwhile the count never exceeds what was published: it never
+            // wraps below zero.
             (0..2_000).map(|_| t.live_entries()).max().unwrap()
         });
         assert!(peak <= THREADS as u64 * PER_THREAD, "a count ran negative: {peak}");

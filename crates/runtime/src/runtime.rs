@@ -22,7 +22,7 @@
 //! The hot paths are engineered so that worker threads share no cache line in
 //! the common case:
 //!
-//! * `translate` is a lock-free load from the sharded
+//! * `translate` is a lock-free load from the
 //!   [`HandleTable`](crate::handle_table) — no mutex anywhere on the path;
 //! * every public operation resolves the calling thread's registration
 //!   **once** ([`thread::with_current`]) and borrows it throughout — no
@@ -31,13 +31,15 @@
 //!   read-modify-write: pins in the thread's slot stack ([`crate::pinset`]),
 //!   event counters in its [`ThreadHotStats`] (folded only when
 //!   [`Runtime::stats`] is called), handle IDs from its **magazine**
-//!   ([`ThreadCtx::magazine`]), refilled/flushed through one shard in batches.
+//!   ([`ThreadCtx::magazine`]), refilled/flushed through the table lock in
+//!   batches.
 //!
 //! The allocation path takes no runtime lock either: the backing-memory
 //! [`Service`] is called through `&self` and synchronises itself (Anchorage
 //! with one lock per arena, an arena per allocating thread), and the handle
-//! table counts live entries per shard.  What `halloc`/`hfree` of two threads
-//! still share is whatever the service shares.
+//! table keeps no live count: `halloc`/`hfree` write only the entry.  What
+//! `halloc`/`hfree` of two threads still share is the table lock, when both
+//! refill or flush a magazine at once, and whatever the service shares.
 
 use crate::barrier::BarrierController;
 use crate::error::{AlaskaError, Result};
@@ -63,9 +65,9 @@ use std::time::{Duration, Instant};
 static NEXT_RUNTIME_ID: AtomicUsize = AtomicUsize::new(1);
 
 /// Capacity of a per-thread free-ID magazine; at this size half is flushed
-/// back to the owning shard.
+/// back to the table.
 const MAGAZINE_CAP: usize = 64;
-/// Batch size of a magazine refill from a shard.
+/// Batch size of a magazine refill from the table.
 const MAGAZINE_REFILL: usize = 32;
 
 /// The Alaska runtime.  See the [module documentation](self).
@@ -153,7 +155,7 @@ pub struct ThreadGuard<'rt> {
 
 impl Drop for ThreadGuard<'_> {
     fn drop(&mut self) {
-        // Hand unused magazine IDs back to their shards and roll this
+        // Hand unused magazine IDs back to the table and roll this
         // thread's counters into the global totals before it vanishes.
         if let Some(ctx) = thread::take_current(self.rt.id) {
             let ids = ctx.magazine.take();
@@ -312,15 +314,14 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Pop a reserved handle ID from this thread's magazine, refilling it from
-    /// the thread's home shard when empty.
+    /// the table when empty.
     fn acquire_id(&self, t: &ThreadCtx) -> Option<HandleId> {
         let mut mag = t.magazine.borrow_mut();
         if let Some(id) = mag.pop() {
             return Some(HandleId(id));
         }
-        let hint = t.id as usize % self.table.shard_count();
         if faultline::fire!("magazine.refill")
-            || self.table.reserve_ids(hint, MAGAZINE_REFILL, &mut mag) == 0
+            || self.table.reserve_ids(MAGAZINE_REFILL, &mut mag) == 0
         {
             return None;
         }
@@ -329,7 +330,7 @@ impl Runtime {
     }
 
     /// Park a freed (or never published) ID in this thread's magazine,
-    /// flushing the cold half back to the owning shards at capacity.
+    /// flushing the cold half back to the table at capacity.
     fn release_id(&self, t: &ThreadCtx, id: HandleId) {
         let mut mag = t.magazine.borrow_mut();
         mag.push(id.0);
@@ -344,7 +345,7 @@ impl Runtime {
     /// Allocate `size` bytes of handle-backed memory; returns the handle bits
     /// the application treats as a pointer.
     ///
-    /// The ID comes from the thread's magazine (no shard lock in the common
+    /// The ID comes from the thread's magazine (no table lock in the common
     /// case); the entry is published with its backing already set, so there is
     /// no window where a concurrent translation can observe a live entry with
     /// a NULL backing (the old allocate → service-alloc → set-backing dance
@@ -431,7 +432,7 @@ impl Runtime {
     /// two racing frees exactly one succeeds and the other gets a typed
     /// verdict.  The freed ID parks in this thread's magazine for reuse;
     /// surplus beyond the magazine capacity (64 IDs) is flushed back to the
-    /// owning shard in a batch.
+    /// table in a batch.
     ///
     /// # Errors
     ///
@@ -710,14 +711,14 @@ impl Runtime {
     /// Stop the world, unify all threads' pin sets, and run `f` with the
     /// stopped world.  Other threads resume when `f` returns.
     ///
-    /// Every handle-table shard lock is held (acquired in index order) while
-    /// `f` runs, so no ID can be reserved or restocked during the pause;
-    /// entry words remain atomically mutable, which is how the service
-    /// relocates objects while straggler threads may still translate.
+    /// The handle-table lock is held while `f` runs, so no ID can be reserved
+    /// or restocked during the pause; entry words remain atomically mutable,
+    /// which is how the service relocates objects while straggler threads may
+    /// still translate.
     ///
     /// A straggler that never reaches a safepoint before the watchdog
     /// deadline ([`Runtime::set_barrier_deadline`]) makes the attempt
-    /// **abort**: the world is released untouched (no shard lock was taken,
+    /// **abort**: the world is released untouched (the table lock was not taken,
     /// no entry mutated), `barrier_aborts` and a trace event fire, and the
     /// pause is retried with exponential backoff.  On the final attempt
     /// remaining stragglers are treated like external threads — they hold no
@@ -773,7 +774,7 @@ impl Runtime {
         });
 
         let result = {
-            let _shards = self.table.lock_all();
+            let _ids = self.table.lock_ids();
             let mut world = StoppedWorld::new(&self.table, &pinned, &self.vm, &self.stats);
             f(&mut world)
         };
@@ -828,8 +829,7 @@ impl Runtime {
 
     /// Walk the handle table and check its structural invariants (see
     /// [`HandleTable::verify_invariants`]); the chaos suite calls this after
-    /// every injected fault.  The global counters are only exact when the
-    /// table is quiescent (no concurrent `halloc`/`hfree`).
+    /// every injected fault.
     ///
     /// # Errors
     ///
@@ -884,7 +884,8 @@ impl Runtime {
         snap
     }
 
-    /// Number of live handles.
+    /// Number of live handles, counted by a scan of the handle table: exact
+    /// when no `halloc`/`hfree` runs meanwhile.
     pub fn live_handles(&self) -> u64 {
         self.table.live_entries()
     }
@@ -892,13 +893,6 @@ impl Runtime {
     /// Density of live entries in the handle table (§4.2.1).
     pub fn handle_table_density(&self) -> f64 {
         self.table.density()
-    }
-
-    /// Number of ID-range shards in the handle table.  Full-capacity tables
-    /// size this from `available_parallelism`, so harnesses report it to
-    /// label results from machines with different effective shard counts.
-    pub fn handle_table_shards(&self) -> usize {
-        self.table.shard_count()
     }
 
     /// Handle-table metadata overhead in bytes.

@@ -202,8 +202,11 @@ pub struct BatchApply {
 /// All threads are parked (or in external code) while this value exists, so
 /// the service may move any object that is not pinned.  The handle table is
 /// held by shared reference: entry words are atomic, and the runtime holds
-/// every shard lock for the duration of the pause, so no entry can be
-/// allocated or released underneath the service.
+/// the table lock for the duration of the pause, so no ID is reserved or
+/// restocked.  That lock does not keep a magazine `halloc`/`hfree` out: those
+/// poll a safepoint first, so a registered thread that starts one parks until
+/// the pause ends, and Anchorage's pass holds every arena lock against a
+/// thread in external code that passed its poll before the pause began.
 pub struct StoppedWorld<'a> {
     table: &'a HandleTable,
     pinned: &'a HashSet<HandleId>,
@@ -246,21 +249,9 @@ impl<'a> StoppedWorld<'a> {
         self.table.get(id).map(|e| e.size)
     }
 
-    /// All live handle IDs (heap scan over every shard).
+    /// All live handle IDs (heap scan), in ID order.
     pub fn live_ids(&self) -> Vec<HandleId> {
         self.table.live_ids()
-    }
-
-    /// Number of handle-table shards, for services that want to walk the
-    /// table incrementally with [`StoppedWorld::live_ids_in_shard`].
-    pub fn shard_count(&self) -> usize {
-        self.table.shard_count()
-    }
-
-    /// Live handle IDs owned by shard `shard` — lets a service scan the table
-    /// one shard at a time instead of materializing one flat vector.
-    pub fn live_ids_in_shard(&self, shard: usize) -> Vec<HandleId> {
-        self.table.live_ids_in_shard(shard)
     }
 
     /// Move object `id` to `dst`: copy its bytes and update its handle-table
@@ -504,18 +495,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_scans_cover_all_live_ids() {
+    fn live_ids_scan_covers_all_live_ids() {
         let (table, pinned, vm, stats) = world_parts();
         let region = vm.map(8192);
         let ids: Vec<_> =
             (0..10).map(|i| table.allocate(region.add(i * 16), 16).unwrap()).collect();
         let world = StoppedWorld::new(&table, &pinned, &vm, &stats);
-        let mut by_shard: Vec<HandleId> =
-            (0..world.shard_count()).flat_map(|s| world.live_ids_in_shard(s)).collect();
-        by_shard.sort_unstable();
-        let mut all = world.live_ids();
-        all.sort_unstable();
-        assert_eq!(by_shard, all);
-        assert_eq!(all.len(), ids.len());
+        assert_eq!(world.live_ids(), ids, "every live ID, in ID order");
     }
 }

@@ -114,11 +114,12 @@ define_stats! {
     handle_faults,
     /// Safepoint polls executed across all threads.
     safepoint_polls,
-    /// Times a mutating path found a handle-table shard lock contended.
+    /// Times an acquisition of the handle-table lock found it contended.
+    /// The name is older than the table's single lock.
     shard_lock_contention,
-    /// Per-thread free-ID magazine refills (batch reservations from a shard).
+    /// Per-thread free-ID magazine refills (batch reservations from the table).
     magazine_refills,
-    /// Per-thread free-ID magazine flushes (batch returns to a shard).
+    /// Per-thread free-ID magazine flushes (batch returns to the table).
     magazine_flushes,
     /// Double frees detected by the poisoned-entry state machine.
     double_frees_detected,

@@ -33,7 +33,7 @@ pub mod names {
     pub const FRAGMENTATION_RATIO: &str = "alaska_fragmentation_ratio";
     /// Gauge of live handles in the handle table.
     pub const LIVE_HANDLES: &str = "alaska_live_handles";
-    /// Counter of contended handle-table shard-lock acquisitions (mirrors
+    /// Counter of contended handle-table lock acquisitions (mirrors
     /// `StatsSnapshot::shard_lock_contention`).
     pub const SHARD_LOCK_CONTENTION: &str = "alaska_shard_lock_contention";
     /// Counter of per-thread free-ID magazine refills (mirrors

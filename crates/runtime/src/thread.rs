@@ -12,8 +12,8 @@
 //!   only writer, so it writes with plain loads and stores: no lock, no
 //!   read-modify-write.
 //! * [`ThreadCtx`], which never leaves the thread: the **free-ID magazine**,
-//!   a small LIFO of handle-table IDs reserved from one shard in batches, so
-//!   the common `halloc`/`hfree` touches no shard lock.  Nobody else ever
+//!   a small LIFO of handle-table IDs reserved from the table in batches, so
+//!   the common `halloc`/`hfree` touches no table lock.  Nobody else ever
 //!   looks at it, so it is a plain `RefCell`.
 //!
 //! [`with_current`] resolves the calling thread's context once per runtime
@@ -76,9 +76,9 @@ hot_counters! {
     unpins,
     /// Safepoint polls executed by this thread.
     safepoint_polls,
-    /// Times this thread's magazine refilled from a shard.
+    /// Times this thread's magazine refilled from the handle table.
     magazine_refills,
-    /// Times this thread's magazine flushed surplus IDs back to a shard.
+    /// Times this thread's magazine flushed surplus IDs back to the table.
     magazine_flushes,
 }
 

@@ -1,4 +1,4 @@
-//! Concurrency stress test for the sharded handle table: mixed
+//! Concurrency stress test for the handle table: mixed
 //! `halloc`/`translate`/`hfree` workers race a barrier-and-defragment loop,
 //! and the test asserts no handle ID is ever lost or handed out twice.
 //!

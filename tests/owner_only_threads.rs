@@ -1,13 +1,16 @@
 //! Thread-private runtime state is written by its owner alone — pins in a
 //! slot stack, counters with a load and a store — and read by barrier
 //! initiators and `stats` callers.  These tests check that the readers still
-//! see exactly what the owners did, and that resolving the calling thread
-//! once per operation leaves operations free to nest.
+//! see exactly what the owners did, that resolving the calling thread once
+//! per operation leaves operations free to nest, that the handle IDs a
+//! thread's magazine hands back serve the next thread, and that a thread in
+//! external code cannot allocate inside a pause.
 
 use alaska::runtime::pinset::INLINE_PIN_SLOTS;
 use alaska::{AlaskaBuilder, Runtime};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
+use std::time::Duration;
 
 const WORKERS: usize = 3;
 
@@ -194,4 +197,63 @@ fn operations_nest_inside_a_stopped_world_and_a_service_closure() {
     assert_eq!(name, a.service_name());
     assert_eq!(a.read_u64(ha, 0), 1);
     assert_eq!((a.stats().barriers, b.stats().barriers), (1, 1));
+}
+
+#[test]
+fn ids_a_finished_thread_hands_back_are_reused_by_the_next_thread() {
+    let rt = Runtime::with_malloc_service();
+    let table_bytes: Vec<u64> = (0..3)
+        .map(|_| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _registered = rt.register_current_thread();
+                    let handles: Vec<u64> = (0..100).map(|_| rt.halloc(64).unwrap()).collect();
+                    for h in handles {
+                        rt.hfree(h).unwrap();
+                    }
+                });
+            });
+            rt.handle_table_bytes()
+        })
+        .collect();
+    assert_eq!(table_bytes, [table_bytes[0]; 3], "each thread touched fresh entries");
+    assert_eq!(rt.live_handles(), 0);
+    rt.verify_table_invariants().unwrap();
+}
+
+#[test]
+fn an_external_thread_cannot_allocate_inside_a_pause() {
+    let rt = Runtime::with_malloc_service();
+    let done = AtomicBool::new(false);
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel();
+    let h = std::thread::scope(|scope| {
+        let (rt, done) = (&rt, &done);
+        let b = scope.spawn(move || {
+            let _registered = rt.register_current_thread();
+            // Fill the magazine, so the `halloc` below takes no table lock.
+            rt.hfree(rt.halloc(64).unwrap()).unwrap();
+            rt.external_begin();
+            ready_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+            // `halloc` polls before it touches anything, so it parks here
+            // until the pause ends.
+            let h = rt.halloc(64).unwrap();
+            rt.write_u64(h, 0, 0xB0B);
+            done.store(true, Ordering::Release);
+            rt.external_end();
+            h
+        });
+        ready_rx.recv().unwrap();
+        // B is in external code, so the barrier does not wait for it.
+        let done_in_pause = rt.with_stopped_world(|_| {
+            go_tx.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            done.load(Ordering::Acquire)
+        });
+        assert!(!done_in_pause, "an external thread allocated inside the pause");
+        b.join().expect("thread B")
+    });
+    assert_eq!(rt.read_u64(h, 0), 0xB0B);
+    rt.verify_table_invariants().unwrap();
 }
