@@ -4,9 +4,8 @@
 //! above by conservative ones.
 
 use alaska::ControlParams;
+use alaska_bench::env_scale;
 use alaska_bench::redis::{run_redis_experiment, Backend, RedisExperimentConfig};
-use alaska_bench::sections::ControlEnvelopeSection;
-use alaska_bench::{emit_section, env_scale};
 
 fn main() {
     let scale = env_scale("ALASKA_FIG10_SCALE", 1.0);
@@ -87,5 +86,4 @@ fn main() {
         "Envelope of control: steady-state RSS ranges from {lo:.1} MB (aggressive) to {hi:.1} MB \
          (conservative) — the operator-visible tradeoff between overhead and fragmentation."
     );
-    emit_section(&ControlEnvelopeSection { curves });
 }

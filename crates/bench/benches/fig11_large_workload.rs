@@ -9,11 +9,10 @@
 //! because the control algorithm works in ratios, not absolute bytes.
 
 use alaska::ControlParams;
+use alaska_bench::env_scale;
 use alaska_bench::redis::{
     run_redis_experiment, savings_vs_baseline, Backend, RedisExperimentConfig, ValueSizing,
 };
-use alaska_bench::sections::RedisSection;
-use alaska_bench::{emit_section, env_scale};
 
 fn main() {
     let scale = env_scale("ALASKA_FIG11_SCALE", 1.0);
@@ -80,10 +79,4 @@ fn main() {
          budget) and reaches {:.0}% below the baseline's steady RSS.",
         savings_vs_baseline(anchorage, baseline) * 100.0
     );
-    emit_section(&RedisSection {
-        harness: "fig11",
-        maxmemory: cfg.maxmemory,
-        duration_ms: cfg.duration_ms,
-        results,
-    });
 }

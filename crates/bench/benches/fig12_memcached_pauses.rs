@@ -3,9 +3,8 @@
 //! relocated at every pause regardless of fragmentation, as in the paper's
 //! synthetic setup.
 
+use alaska_bench::env_scale;
 use alaska_bench::memcached::{run_pause_experiment, PauseExperimentConfig, PauseExperimentResult};
-use alaska_bench::sections::PauseSection;
-use alaska_bench::{emit_section, env_scale};
 
 fn main() {
     let duration_ms = env_scale("ALASKA_FIG12_DURATION_MS", 300.0) as u64;
@@ -101,5 +100,4 @@ fn main() {
         "Paper shape: short pause intervals raise average latency (~10% including impractical \
          intervals, <7% above 500 ms), and there is no systematic trend with thread count."
     );
-    emit_section(&PauseSection { duration_ms, results: all });
 }

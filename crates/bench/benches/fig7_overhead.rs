@@ -2,8 +2,7 @@
 //! and pin tracking across the Embench/GAP/NAS/SPEC-like benchmark suites,
 //! plus the geometric mean the paper headlines (~10%).
 
-use alaska_bench::sections::OverheadSection;
-use alaska_bench::{emit_section, env_scale};
+use alaska_bench::env_scale;
 use alaska_benchsuite::harness::{geomean_overhead_pct, run_overhead_study};
 use alaska_benchsuite::Scale;
 
@@ -37,6 +36,4 @@ fn main() {
         "Paper: geomean overhead ~10% with perlbench/gcc included, ~8% without; \
          measured {geomean:.1}% / {geomean_no_violators:.1}%"
     );
-
-    emit_section(&OverheadSection { scale: scale.0, results });
 }

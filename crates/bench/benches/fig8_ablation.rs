@@ -2,8 +2,7 @@
 //! full pipeline ("alaska"), tracking removed ("notracking") and hoisting
 //! removed ("nohoisting").
 
-use alaska_bench::sections::AblationSection;
-use alaska_bench::{emit_section, env_scale};
+use alaska_bench::env_scale;
 use alaska_benchsuite::harness::run_ablation_study;
 use alaska_benchsuite::Scale;
 
@@ -27,5 +26,4 @@ fn main() {
         "Paper shape: disabling hoisting roughly doubles most benchmarks' overhead; \
          removing tracking recovers a small amount (most visible on nab/xz)."
     );
-    emit_section(&AblationSection { scale: scale.0, results });
 }

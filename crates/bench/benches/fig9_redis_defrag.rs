@@ -4,11 +4,10 @@
 //! Anchorage vs the baseline) is printed at the end.
 
 use alaska::ControlParams;
+use alaska_bench::env_scale;
 use alaska_bench::redis::{
     run_redis_experiment, savings_vs_baseline, Backend, RedisExperimentConfig,
 };
-use alaska_bench::sections::RedisSection;
-use alaska_bench::{emit_section, env_scale};
 
 fn main() {
     let scale = env_scale("ALASKA_FIG9_SCALE", 1.0);
@@ -80,10 +79,4 @@ fn main() {
         savings_vs_baseline(anchorage, baseline) * 100.0,
         savings_vs_baseline(activedefrag, baseline) * 100.0
     );
-    emit_section(&RedisSection {
-        harness: "fig9",
-        maxmemory: cfg.maxmemory,
-        duration_ms: cfg.duration_ms,
-        results,
-    });
 }

@@ -2,8 +2,7 @@
 //! transformation (the paper reports ~48% geomean executable growth, with a
 //! worst case around 2× when hoisting cannot help).
 
-use alaska_bench::sections::CodesizeSection;
-use alaska_bench::{emit_section, env_scale};
+use alaska_bench::env_scale;
 use alaska_benchsuite::harness::run_codesize_study;
 use alaska_benchsuite::Scale;
 
@@ -14,7 +13,6 @@ fn main() {
 
     println!("{:<14} {:>12} {:>14} {:>12}", "benchmark", "growth_x", "translations", "safepoints");
     let mut factors = Vec::new();
-    let mut rows = Vec::new();
     for (name, report) in &reports {
         let growth = report.code_growth();
         println!(
@@ -25,12 +23,6 @@ fn main() {
             report.total_safepoints()
         );
         factors.push(growth);
-        rows.push((
-            name.clone(),
-            growth,
-            report.total_translations() as u64,
-            report.total_safepoints() as u64,
-        ));
     }
     let geomean = (factors.iter().map(|f| f.ln()).sum::<f64>() / factors.len() as f64).exp();
     let worst = factors.iter().cloned().fold(0.0f64, f64::max);
@@ -39,5 +31,4 @@ fn main() {
         "geomean growth {:.2}x (paper: ~1.48x), worst case {:.2}x (paper: ~2x)",
         geomean, worst
     );
-    emit_section(&CodesizeSection { scale: scale.0, rows });
 }

@@ -15,7 +15,6 @@ use crate::value_bytes;
 use alaska::runtime::telemetry_names;
 use alaska::{AlaskaBuilder, Telemetry};
 use alaska_kvstore::ShardedStore;
-use alaska_telemetry::json::{object, JsonValue, ToJson};
 use alaska_telemetry::{Histogram, MetricValue};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -80,34 +79,10 @@ pub struct PauseExperimentResult {
     pub max_pause_us: f64,
     /// Objects moved across all pauses.
     pub objects_moved: u64,
-    /// Contended handle-table lock acquisitions during the run.
-    pub shard_lock_contention: u64,
     /// Per-thread free-ID magazine refills during the run.
     pub magazine_refills: u64,
     /// Translations served on the lock-free fast path (no handle fault).
     pub fast_path_translations: u64,
-}
-
-impl ToJson for PauseExperimentResult {
-    fn to_json(&self) -> JsonValue {
-        object([
-            ("threads", JsonValue::U64(self.threads as u64)),
-            ("pause_interval_ms", JsonValue::U64(self.pause_interval_ms)),
-            ("operations", JsonValue::U64(self.operations)),
-            ("mean_us", JsonValue::F64(self.mean_us)),
-            ("p99_us", JsonValue::F64(self.p99_us)),
-            ("pauses", JsonValue::U64(self.pauses)),
-            ("mean_pause_us", JsonValue::F64(self.mean_pause_us)),
-            ("p50_pause_us", JsonValue::F64(self.p50_pause_us)),
-            ("p90_pause_us", JsonValue::F64(self.p90_pause_us)),
-            ("p99_pause_us", JsonValue::F64(self.p99_pause_us)),
-            ("max_pause_us", JsonValue::F64(self.max_pause_us)),
-            ("objects_moved", JsonValue::U64(self.objects_moved)),
-            ("shard_lock_contention", JsonValue::U64(self.shard_lock_contention)),
-            ("magazine_refills", JsonValue::U64(self.magazine_refills)),
-            ("fast_path_translations", JsonValue::U64(self.fast_path_translations)),
-        ])
-    }
 }
 
 /// A YCSB workload A request stream: zipfian keys over `[0, n)` with
@@ -251,7 +226,6 @@ pub fn run_pause_experiment(cfg: &PauseExperimentConfig) -> PauseExperimentResul
         p99_pause_us: pause_hist.map_or(0.0, |h| h.p99 as f64 / 1000.0),
         max_pause_us: pause_hist.map_or(0.0, |h| h.max as f64 / 1000.0),
         objects_moved: final_stats.objects_moved - moved_before,
-        shard_lock_contention: final_stats.shard_lock_contention,
         magazine_refills: final_stats.magazine_refills,
         fast_path_translations: final_stats.translations.saturating_sub(final_stats.handle_faults),
     }

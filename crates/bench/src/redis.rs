@@ -20,7 +20,6 @@ use alaska_heap::freelist::FreeListAllocator;
 use alaska_heap::mesh::MeshAllocator;
 use alaska_heap::vmem::VirtualMemory;
 use alaska_kvstore::{ArenaStorage, HandleStorage, RawStorage, RedisLike, ValueStorage};
-use alaska_telemetry::json::{object, JsonValue, ToJson};
 use std::sync::Arc;
 
 /// Which allocator configuration backs the store.
@@ -129,21 +128,6 @@ pub struct SeriesPoint {
     pub t_ms: u64,
     /// Resident set size in bytes.
     pub rss_bytes: u64,
-    /// Live value bytes in the store.
-    pub live_bytes: u64,
-    /// Fragmentation ratio.
-    pub fragmentation: f64,
-}
-
-impl ToJson for SeriesPoint {
-    fn to_json(&self) -> JsonValue {
-        object([
-            ("t_ms", JsonValue::U64(self.t_ms)),
-            ("rss_bytes", JsonValue::U64(self.rss_bytes)),
-            ("live_bytes", JsonValue::U64(self.live_bytes)),
-            ("fragmentation", JsonValue::F64(self.fragmentation)),
-        ])
-    }
 }
 
 /// The result of one backend's run.
@@ -161,19 +145,6 @@ pub struct RedisExperimentResult {
     pub passes: u64,
     /// Keys evicted by the LRU policy.
     pub evictions: u64,
-}
-
-impl ToJson for RedisExperimentResult {
-    fn to_json(&self) -> JsonValue {
-        object([
-            ("backend", JsonValue::Str(self.backend.clone())),
-            ("series", self.series.to_json()),
-            ("peak_rss", JsonValue::U64(self.peak_rss)),
-            ("steady_rss", JsonValue::U64(self.steady_rss)),
-            ("passes", JsonValue::U64(self.passes)),
-            ("evictions", JsonValue::U64(self.evictions)),
-        ])
-    }
 }
 
 fn value_len(sizing: ValueSizing, t_ms: u64, duration_ms: u64, nonce: u64) -> usize {
@@ -282,12 +253,7 @@ pub fn run_redis_experiment(
         }
 
         if t % cfg.sample_interval_ms == 0 {
-            series.push(SeriesPoint {
-                t_ms: t,
-                rss_bytes: store.rss_bytes(),
-                live_bytes: store.used_memory(),
-                fragmentation: store.fragmentation(),
-            });
+            series.push(SeriesPoint { t_ms: t, rss_bytes: store.rss_bytes() });
         }
     }
 

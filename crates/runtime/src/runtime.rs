@@ -233,7 +233,7 @@ impl Runtime {
 
     /// Mirror the runtime counters and heap gauges into the installed hub's
     /// registry (no-op without a hub).  Harnesses call this before exporting
-    /// so JSONL/Prometheus snapshots carry the latest totals.
+    /// so JSONL snapshots carry the latest totals.
     pub fn publish_telemetry(&self) {
         if let Some(tel) = self.telemetry.get() {
             let registry = tel.hub.registry();

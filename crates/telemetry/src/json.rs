@@ -1,12 +1,10 @@
 //! A minimal JSON encoder and parser.
 //!
-//! The figure harnesses emit machine-readable result blobs, the registry
-//! exports JSON Lines, and `alaska-benchctl` round-trips whole run manifests
-//! through files.  Rather than pulling in `serde` (unavailable in offline
-//! builds), this module provides a tiny value tree ([`JsonValue`]), a
-//! [`ToJson`] trait the bench crates implement by hand, and a
-//! recursive-descent parser ([`JsonValue::parse`]) for reading manifests
-//! back.
+//! The registry exports JSON Lines, the event ring renders its records as
+//! JSON, and the `benchmark/` package parses its runs' result lines back.  Rather than pulling in `serde` (unavailable in offline
+//! builds), this module provides a tiny value tree ([`JsonValue`]) that
+//! callers build by hand, a renderer ([`JsonValue::render`]) and a
+//! recursive-descent parser ([`JsonValue::parse`]).
 //!
 //! Rendering rules match what a JSON consumer expects:
 //!
@@ -185,7 +183,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        // Far deeper than any manifest; prevents stack overflow on garbage.
+        // Far deeper than any real document; prevents stack overflow on garbage.
         if depth > 128 {
             return self.err("nesting too deep");
         }
@@ -440,97 +438,6 @@ impl JsonValue {
     }
 }
 
-/// Types that can render themselves as a [`JsonValue`].
-pub trait ToJson {
-    /// Build the JSON representation.
-    fn to_json(&self) -> JsonValue;
-}
-
-impl ToJson for JsonValue {
-    fn to_json(&self) -> JsonValue {
-        self.clone()
-    }
-}
-
-impl ToJson for u64 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::U64(*self)
-    }
-}
-
-impl ToJson for usize {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::U64(*self as u64)
-    }
-}
-
-impl ToJson for i64 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::I64(*self)
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::F64(*self)
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Bool(*self)
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.clone())
-    }
-}
-
-impl ToJson for &str {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str((*self).to_string())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            Some(v) => v.to_json(),
-            None => JsonValue::Null,
-        }
-    }
-}
-
-/// Tuples render as fixed-length JSON arrays (handy for table rows).
-macro_rules! impl_tuple_to_json {
-    ($($name:ident : $idx:tt),+) => {
-        impl<$($name: ToJson),+> ToJson for ($($name,)+) {
-            fn to_json(&self) -> JsonValue {
-                JsonValue::Array(vec![$(self.$idx.to_json()),+])
-            }
-        }
-    };
-}
-
-impl_tuple_to_json!(A: 0, B: 1);
-impl_tuple_to_json!(A: 0, B: 1, C: 2);
-impl_tuple_to_json!(A: 0, B: 1, C: 2, D: 3);
-impl_tuple_to_json!(A: 0, B: 1, C: 2, D: 3, E: 4);
-impl_tuple_to_json!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
-
-/// Build a [`JsonValue::Object`] from `(key, value)` pairs.
-pub fn object<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
-    JsonValue::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,17 +463,17 @@ mod tests {
 
     #[test]
     fn nested_structures_render_compactly() {
-        let v = object([
-            ("name", JsonValue::Str("x".into())),
-            ("xs", JsonValue::Array(vec![JsonValue::U64(1), JsonValue::U64(2)])),
-            ("opt", None::<u64>.to_json()),
+        let v = JsonValue::Object(vec![
+            ("name".to_string(), JsonValue::Str("x".into())),
+            ("xs".to_string(), JsonValue::Array(vec![JsonValue::U64(1), JsonValue::U64(2)])),
+            ("opt".to_string(), JsonValue::Null),
         ]);
         assert_eq!(v.render(), "{\"name\":\"x\",\"xs\":[1,2],\"opt\":null}");
     }
 
     #[test]
     fn parse_round_trips_rendered_values() {
-        let v = object([
+        let fields = [
             ("schema_version", JsonValue::U64(1)),
             ("name", JsonValue::Str("fig7 \"quoted\" \\ tab\there".into())),
             ("overhead_pct", JsonValue::F64(10.25)),
@@ -574,7 +481,8 @@ mod tests {
             ("flag", JsonValue::Bool(true)),
             ("nothing", JsonValue::Null),
             ("rows", JsonValue::Array(vec![JsonValue::U64(1), JsonValue::F64(2.5)])),
-        ]);
+        ];
+        let v = JsonValue::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
         let parsed = JsonValue::parse(&v.render()).unwrap();
         assert_eq!(parsed, v);
         assert_eq!(parsed.render(), v.render());
@@ -609,15 +517,5 @@ mod tests {
         assert_eq!(metrics.get("missing"), None);
         assert_eq!(v.as_object().unwrap().len(), 1);
         assert_eq!(v.get("metrics").unwrap().as_str(), None);
-    }
-
-    #[test]
-    fn to_json_impls_cover_primitives() {
-        assert_eq!(42u64.to_json().render(), "42");
-        assert_eq!((-1i64).to_json().render(), "-1");
-        assert_eq!(1.25f64.to_json().render(), "1.25");
-        assert_eq!("hi".to_json().render(), "\"hi\"");
-        assert_eq!(vec![1u64, 2].to_json().render(), "[1,2]");
-        assert_eq!(Some(3u64).to_json().render(), "3");
     }
 }

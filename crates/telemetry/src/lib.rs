@@ -18,8 +18,7 @@
 //!   released), sub-heap open/rotate, handle faults and safepoint-poll
 //!   batches, each stamped with nanoseconds since the hub's epoch.
 //! * [`Registry`] — named get-or-create metric storage whose
-//!   [`RegistrySnapshot`] exports both JSON Lines and the Prometheus text
-//!   format.
+//!   [`RegistrySnapshot`] exports JSON Lines.
 //! * [`Telemetry`] — the hub tying a registry, a ring and an epoch together;
 //!   it implements [`TelemetrySink`] so instrumented components can hold a
 //!   `dyn` sink.  [`NoopSink`] is the zero-cost default: when no hub is
@@ -41,7 +40,7 @@
 //! assert_eq!(pauses.count(), 3);
 //! assert!(pauses.percentile(50.0) >= 90_000);
 //! let snapshot = hub.registry().snapshot();
-//! assert!(snapshot.to_prometheus().contains("alaska_barrier_pause_ns"));
+//! assert!(snapshot.to_jsonl().contains("\"name\":\"alaska_barrier_pause_ns\""));
 //! assert_eq!(hub.ring().len(), 3);
 //! ```
 

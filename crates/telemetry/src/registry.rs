@@ -7,15 +7,13 @@
 //! and keep the `Arc`; recording through the handle is lock-free.
 //!
 //! [`RegistrySnapshot`] freezes every metric into plain data and renders it
-//! as JSON Lines ([`RegistrySnapshot::to_jsonl`]) or the Prometheus text
-//! exposition format ([`RegistrySnapshot::to_prometheus`], histograms as
-//! summaries with p50/p90/p99 quantiles).
+//! as JSON Lines ([`RegistrySnapshot::to_jsonl`]), histograms as their
+//! count, sum, min, max, mean and p50/p90/p99.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::json::JsonValue;
 use crate::metrics::{Counter, Gauge};
 use std::collections::BTreeMap;
-use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 
 /// A live metric stored in the registry.
@@ -167,8 +165,7 @@ impl RegistrySnapshot {
             .map(|i| &self.metrics[i].1)
     }
 
-    /// Render one metric as the JSON object used by both [`Self::to_jsonl`]
-    /// and [`Self::to_json`].
+    /// Render one metric as the JSON object [`Self::to_jsonl`] writes.
     fn metric_json(name: &str, value: &MetricValue) -> JsonValue {
         let mut obj = vec![
             ("name".to_string(), JsonValue::Str(name.to_string())),
@@ -191,51 +188,12 @@ impl RegistrySnapshot {
         JsonValue::Object(obj)
     }
 
-    /// Render the snapshot as a single JSON array, one object per metric in
-    /// ascending name order (the shape `alaska-benchctl` embeds in run
-    /// manifests).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Array(
-            self.metrics.iter().map(|(name, value)| Self::metric_json(name, value)).collect(),
-        )
-    }
-
     /// Render the snapshot as JSON Lines: one object per metric.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.metrics {
             out.push_str(&Self::metric_json(name, value).render());
             out.push('\n');
-        }
-        out
-    }
-
-    /// Render the snapshot in the Prometheus text exposition format.
-    ///
-    /// Counters and gauges render as their native types; histograms render as
-    /// summaries with `quantile` labels plus `_sum` and `_count` series,
-    /// which is what the log-linear histogram can answer exactly.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.metrics {
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "# TYPE {name} counter");
-                    let _ = writeln!(out, "{name} {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name} {v}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {name} summary");
-                    let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {}", h.p50);
-                    let _ = writeln!(out, "{name}{{quantile=\"0.9\"}} {}", h.p90);
-                    let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {}", h.p99);
-                    let _ = writeln!(out, "{name}_sum {}", h.sum);
-                    let _ = writeln!(out, "{name}_count {}", h.count);
-                }
-            }
         }
         out
     }
@@ -315,41 +273,12 @@ mod tests {
         let r = Registry::new();
         r.counter("alaska_barriers").add(2);
         r.histogram("pause_ns").record(10);
-        let snap = r.snapshot();
-        let json = snap.to_json();
+        let jsonl = r.snapshot().to_jsonl();
+        assert_eq!(jsonl.lines().count(), 2);
         // Integral floats render without `.0` and parse back as integers, so
         // compare the stable rendered form rather than the value trees.
-        let parsed = JsonValue::parse(&json.render()).unwrap();
-        assert_eq!(parsed.render(), json.render());
-        let jsonl = snap.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        let items = json.as_array().unwrap();
-        assert_eq!(items.len(), lines.len());
-        for (item, line) in items.iter().zip(lines) {
-            assert_eq!(item.render(), line);
+        for line in jsonl.lines() {
+            assert_eq!(JsonValue::parse(line).unwrap().render(), line);
         }
-    }
-
-    #[test]
-    fn prometheus_export_matches_golden() {
-        let r = Registry::new();
-        r.counter("alaska_translations").add(100);
-        r.gauge("alaska_rss_bytes").set_u64(4096);
-        let h = r.histogram("alaska_pause_ns");
-        h.record(7);
-        let text = r.snapshot().to_prometheus();
-        assert_eq!(
-            text,
-            "# TYPE alaska_pause_ns summary\n\
-             alaska_pause_ns{quantile=\"0.5\"} 7\n\
-             alaska_pause_ns{quantile=\"0.9\"} 7\n\
-             alaska_pause_ns{quantile=\"0.99\"} 7\n\
-             alaska_pause_ns_sum 7\n\
-             alaska_pause_ns_count 1\n\
-             # TYPE alaska_rss_bytes gauge\n\
-             alaska_rss_bytes 4096\n\
-             # TYPE alaska_translations counter\n\
-             alaska_translations 100\n"
-        );
     }
 }
